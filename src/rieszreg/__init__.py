@@ -21,7 +21,7 @@ from .errors import (  # noqa: F401
     SpecValidationError,
     TrainingDivergedError,
 )
-from .data import Column, Dataset  # noqa: F401
+from .data import Column, Dataset, as_columns  # noqa: F401
 from .estimands import (  # noqa: F401
     CONTRAST_TOKEN,
     EstimandSpec,
@@ -46,9 +46,8 @@ from .simulate import (  # noqa: F401
     AppendixDgp,
     DiscreteDgp,
     closed_form_representer,
+    DGPS,
     simulate,
-    simulate_appendix,
-    simulate_discrete,
     substream,
     true_nuisance,
     truth_oracle,

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, as_columns
 from .errors import SchemaError
 
 
@@ -75,11 +75,7 @@ class Basis:
 
     def design(self, data) -> np.ndarray:
         """Evaluate all features; returns an (n, dim) float64 matrix."""
-        if isinstance(data, Dataset):
-            cols, n = data.columns, data.n
-        else:
-            cols = {k: np.asarray(v, dtype=np.float64) for k, v in data.items()}
-            n = len(next(iter(cols.values())))
+        cols, n = as_columns(data)
         out = np.empty((n, self.dim))
         for j, feat in enumerate(self.features):
             out[:, j] = feat.evaluate(cols, n)

@@ -79,7 +79,7 @@ def summarize(task: BenchTask, rows: list[dict], truth: float) -> dict:
     mc_se = (float(np.std(estimates, ddof=1) / np.sqrt(len(rows)))
              if len(rows) > 1 else 0.0)
     return {
-        "dgp": task.dgp.label(),
+        "dgp": task.dgp.label,
         "spec": task.spec.name,
         "method": task.method_label,
         "n": task.n,

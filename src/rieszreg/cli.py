@@ -24,12 +24,12 @@ import numpy as np
 
 from . import __version__
 from .bench import BenchTask, benchmark_csv, run_benchmark
-from .data import Dataset
+from .data import Dataset, write_json
 from .errors import RieszregError, SchemaError
 from .estimands import BUILTIN_NAMES, builtin_spec, parse_spec
 from .estimator import EstimatorSettings, one_step_estimate
 from .mlp import MlpConfig
-from .simulate import AppendixDgp, DiscreteDgp, simulate, truth_report
+from .simulate import DGPS, simulate, truth_report
 from .verify import CHECKS, run_checks
 
 EXIT_OK = 0
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="draw a dataset and write CSV + schema sidecar")
-    sim.add_argument("--dgp", choices=("appendix", "discrete"), required=True)
+    sim.add_argument("--dgp", choices=sorted(DGPS), required=True)
     sim.add_argument("--dgp-params", help="JSON file overriding DGP parameters")
     sim.add_argument("--n", type=_positive_int, required=True)
     sim.add_argument("--seed", type=int, required=True)
@@ -93,14 +93,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(handler=_cmd_verify)
 
     ben = sub.add_parser("benchmark", help="Monte Carlo grid to a CSV table")
-    ben.add_argument("--dgp", default="discrete",
+    ben.add_argument("--dgp", type=_dgp_list, default="discrete",
                      help="comma list of appendix,discrete")
     ben.add_argument("--spec", default="ate", help="comma list of built-in names")
-    ben.add_argument("--n", default="1000", help="comma list of sample sizes")
+    ben.add_argument("--n", type=_positive_int_list, default="1000",
+                     help="comma list of sample sizes")
     ben.add_argument("--replicates", type=_positive_int, default=100)
     ben.add_argument("--folds", type=_positive_int, default=5)
     ben.add_argument("--seed", type=int, required=True)
-    ben.add_argument("--threads", type=_positive_int, default=None,
+    # a string default goes through the type check, so a bad variable is a usage error
+    ben.add_argument("--threads", type=_positive_int,
+                     default=os.environ.get("RIESZREG_THREADS", "1"),
                      help="worker processes (default: RIESZREG_THREADS or 1)")
     ben.add_argument("--out", required=True)
     _add_method_flags(ben)
@@ -115,14 +118,14 @@ def _add_method_flags(cmd) -> None:
     cmd.add_argument("--nuisance-basis", choices=("default", "saturated", "intercept"),
                      default="default")
     cmd.add_argument("--degree", type=_positive_int, default=2)
-    cmd.add_argument("--ridge", type=float, default=None,
+    cmd.add_argument("--ridge", type=_nonnegative_float, default=None,
                      help="ridge penalty (default: scale-aware; 0 = exact)")
     cmd.add_argument("--outcome-family", choices=("logistic", "least_squares"),
                      default=None, help="innermost-stage family (default: by outcome type)")
-    cmd.add_argument("--clip", type=float, default=None,
+    cmd.add_argument("--clip", type=_positive_float, default=None,
                      help="clip fitted |weights| at this bound")
     cmd.add_argument("--min-rows-per-fold", type=_positive_int, default=50)
-    cmd.add_argument("--level", type=float, default=0.95)
+    cmd.add_argument("--level", type=_unit_interval, default=0.95)
     cmd.add_argument("--mlp-epochs", type=int, default=500)
     cmd.add_argument("--mlp-width", type=_positive_int, default=4)
     cmd.add_argument("--mlp-layers", type=_positive_int, default=2)
@@ -130,11 +133,28 @@ def _add_method_flags(cmd) -> None:
     cmd.add_argument("--mlp-batch", type=_positive_int, default=None)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _checked(convert, accept, wanted: str):
+    """argparse type: ``convert`` the text, then require ``accept(value)``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_positive_float = _checked(float, lambda v: 0 < v < np.inf, "a positive number")
+_nonnegative_float = _checked(float, lambda v: 0 <= v < np.inf, "a non-negative number")
+_unit_interval = _checked(float, lambda v: 0 < v < 1, "strictly between 0 and 1")
+_positive_int_list = _checked(lambda text: [int(v) for v in text.split(",")],
+                              lambda ns: min(ns) >= 1, "a comma list of positive integers")
+_dgp_list = _checked(lambda text: [v.strip() for v in text.split(",")],
+                     lambda names: set(names) <= set(DGPS),
+                     f"a comma list of {', '.join(sorted(DGPS))}")
 
 
 def _out_path(path: str) -> str:
@@ -152,17 +172,13 @@ def _config_hash(args: argparse.Namespace) -> str:
 
 def _make_dgp(name: str, params_path: str | None):
     overrides = {}
-    if params_path:
-        with open(params_path, encoding="utf-8") as fh:
-            overrides = json.load(fh)
-    if name == "appendix":
-        return AppendixDgp(**overrides)
-    if "propensity" in overrides:
-        overrides["propensity"] = tuple(overrides["propensity"])
-    if "outcome_mean_table" in overrides:
-        overrides["outcome_mean_table"] = tuple(
-            tuple(row) for row in overrides["outcome_mean_table"])
-    return DiscreteDgp(**overrides)
+    try:
+        if params_path:
+            with open(params_path, encoding="utf-8") as fh:
+                overrides = json.load(fh)
+        return DGPS[name](**overrides)
+    except (TypeError, ValueError) as exc:  # malformed JSON is a ValueError too
+        raise SchemaError(f"bad --dgp-params for the {name} DGP: {exc}") from None
 
 
 def _resolve_spec(value: str):
@@ -211,9 +227,7 @@ def _cmd_estimate(args) -> int:
     payload = report.to_dict()
     payload["provenance"]["config_sha256"] = _config_hash(args)
     out = _out_path(args.out)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    write_json(out, payload)
     ci = report.headline_ci
     print(f"{report.name}: estimate={report.headline:.6g} "
           f"se={report.contrast.std_error if report.contrast else report.std_error:.6g} "
@@ -228,46 +242,35 @@ def _cmd_verify(args) -> int:
         print(f"{status} {res.name}: residual={res.residual:.3e} tol={res.tol:.0e} "
               f"({res.detail})")
     if args.out:
-        out = _out_path(args.out)
-        payload = {
+        write_json(_out_path(args.out), {
             "seed": args.seed,
             "config_sha256": _config_hash(args),
             "checks": [r.to_dict() for r in results],
             "all_passed": all(r.passed for r in results),
-        }
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        })
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
 def _cmd_benchmark(args) -> int:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("RIESZREG_THREADS", "1"))
     settings = _settings_from(args)
     tasks = []
-    for dgp_name in args.dgp.split(","):
-        dgp = _make_dgp(dgp_name.strip(), None)
+    for dgp_name in args.dgp:
+        dgp = DGPS[dgp_name]()
         for spec_name in args.spec.split(","):
             spec = _resolve_spec(spec_name.strip())
-            if dgp_name.strip() == "discrete" and "M" in {
-                    v for st in spec.stages for v in st.given}:
+            if not dgp.has_mediator and "M" in {v for st in spec.stages for v in st.given}:
                 continue  # mediator estimands need a mediator DGP
-            for n in args.n.split(","):
-                tasks.append(BenchTask(dgp, spec, args.method, int(n),
-                                       args.replicates, args.folds, args.seed,
-                                       settings))
-    table = run_benchmark(tasks, threads=threads)
+            for n in args.n:
+                tasks.append(BenchTask(dgp, spec, args.method, n, args.replicates,
+                                       args.folds, args.seed, settings))
+    table = run_benchmark(tasks, threads=args.threads)
     out = _out_path(args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(benchmark_csv(table))
     meta = {"config_sha256": _config_hash(args), "seed": args.seed,
-            "threads": threads, "tasks": len(tasks),
+            "threads": args.threads, "tasks": len(tasks),
             "truth_reports": [truth_report(t.spec, t.dgp) for t in tasks]}
-    with open(f"{out}.meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    write_json(f"{out}.meta.json", meta)
     print(benchmark_csv(table), end="")
     print(f"wrote {out} ({len(table)} rows)")
     return EXIT_OK

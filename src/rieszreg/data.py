@@ -9,6 +9,7 @@ sidecar JSON document holding the schema so files round-trip losslessly.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,34 @@ from .errors import SchemaError
 
 ROLES = ("covariate", "treatment", "mediator", "outcome")
 SUPPORTS = ("binary", "categorical", "real")
+
+
+def as_columns(data) -> tuple[dict, int]:
+    """Coerce a Dataset or a mapping of equal-length arrays (or of scalars, one
+    row) to (name -> 1-D float64 array, row count)."""
+    if isinstance(data, Dataset):
+        return data.columns, data.n
+    cols = {key: np.atleast_1d(np.asarray(value, dtype=np.float64))
+            for key, value in data.items()}
+    for key, arr in cols.items():
+        if arr.ndim != 1:
+            raise SchemaError(f"column {key!r} is not one-dimensional")
+    lengths = {arr.shape[0] for arr in cols.values()}
+    if len(lengths) != 1:
+        raise SchemaError("columns have unequal lengths" if cols else "empty column mapping")
+    return cols, lengths.pop()
+
+
+def write_json(path, payload) -> None:
+    """The one JSON file layout: UTF-8, two-space indent, LF, final newline."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def constant_one(cols) -> np.ndarray:
+    """The weight 1 on every row, e.g. of a marginal outer stage."""
+    return np.ones(as_columns(cols)[1])
 
 
 @dataclass(frozen=True)
@@ -78,19 +107,15 @@ class Dataset:
             raise SchemaError("duplicate column names in schema")
         if set(names) != set(self.columns):
             raise SchemaError("schema columns and data columns disagree")
-        lengths = {len(v) for v in self.columns.values()}
-        if len(lengths) != 1:
-            raise SchemaError("columns have unequal lengths")
-        self.n = lengths.pop()
+        self.columns, self.n = as_columns(self.columns)
         if self.n < 1:
             raise SchemaError("dataset must contain at least one row")
         for col in self.schema:
-            values = np.asarray(self.columns[col.name], dtype=np.float64)
+            values = self.columns[col.name]
             if not np.all(np.isfinite(values)):
                 raise SchemaError(f"column {col.name!r} contains non-finite values")
             if col.is_discrete and not np.isin(values, col.levels).all():
                 raise SchemaError(f"column {col.name!r} has values outside its declared support")
-            self.columns[col.name] = values
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -132,9 +157,7 @@ class Dataset:
             lines.append(",".join(cells))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
-        with open(self._sidecar(path, schema_path), "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(self.schema_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(self._sidecar(path, schema_path), self.schema_dict())
 
     def schema_dict(self) -> dict:
         return {
@@ -152,12 +175,19 @@ class Dataset:
         with open(Dataset._sidecar(path, schema_path), encoding="utf-8") as fh:
             meta = json.load(fh)
         schema = tuple(Column.from_dict(d) for d in meta["columns"])
+        expected = [c.name for c in schema]
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            raw = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
-        expected = [c.name for c in schema]
-        if header != expected:
-            raise SchemaError(f"CSV header {header} does not match schema columns {expected}")
+            if header != expected:
+                raise SchemaError(f"CSV header {header} does not match schema columns {expected}")
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    raw = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
+            except ValueError:
+                raise _bad_cell(path, header) from None
+        if raw.shape[0] == 0:
+            raise SchemaError(f"CSV {path} has a header but no data rows")
         cols = {name: raw[:, j].copy() for j, name in enumerate(header)}
         return Dataset(schema, cols, seed=meta.get("seed"))
 
@@ -170,3 +200,23 @@ class Dataset:
         for col in self.schema:
             h.update(np.ascontiguousarray(self.columns[col.name]).tobytes())
         return h.hexdigest()
+
+
+def _bad_cell(path, names) -> SchemaError:
+    """Locate the first CSV row that is ragged or holds a non-number; lines
+    are counted from 1 with the header as line 1."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line_no == 1 or not line.strip():
+                continue
+            cells = line.rstrip("\r\n").split(",")
+            if len(cells) != len(names):
+                return SchemaError(f"CSV line {line_no} has {len(cells)} cells, "
+                                   f"expected {len(names)}")
+            for name, cell in zip(names, cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    return SchemaError(
+                        f"CSV line {line_no}, column {name!r}: {cell!r} is not a number")
+    return SchemaError(f"CSV {path} has rows that cannot be read as numbers")

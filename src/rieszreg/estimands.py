@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, as_columns
 from .errors import SchemaError, SpecSyntaxError, SpecValidationError
 
 CONTRAST_TOKEN = "a'"
@@ -402,8 +402,9 @@ def apply_map(fmap: FunctionalMap, fn, data):
     returned). When a Dataset is given, constant assignments are checked
     against the declared column supports.
     """
-    cols, n, scalar = _as_columns(data)
+    cols, n = as_columns(data)
     schema = data if isinstance(data, Dataset) else None
+    scalar = schema is None and all(np.ndim(v) == 0 for v in data.values())
     out = np.zeros(n)
     for coef, overridden in term_columns(fmap, cols, n, schema):
         out += coef * np.asarray(fn(overridden), dtype=np.float64)
@@ -423,24 +424,3 @@ def term_columns(fmap: FunctionalMap, cols, n: int, schema: Dataset | None = Non
                     f"assignment {name} = {value} lies outside the declared support of {name!r}")
             overridden[name] = np.full(n, value)
         yield term.coef, overridden
-
-
-def _as_columns(data):
-    if isinstance(data, Dataset):
-        return data.columns, data.n, False
-    cols = {}
-    n = None
-    scalar = True
-    for key, value in data.items():
-        arr = np.atleast_1d(np.asarray(value, dtype=np.float64))
-        if arr.ndim != 1:
-            raise SchemaError(f"column {key!r} is not one-dimensional")
-        scalar = scalar and np.ndim(value) == 0
-        if n is None:
-            n = arr.shape[0]
-        elif arr.shape[0] != n:
-            raise SchemaError("columns have unequal lengths")
-        cols[key] = arr
-    if n is None:
-        raise SchemaError("empty column mapping")
-    return cols, n, scalar

@@ -20,7 +20,7 @@ both bookkeeping identities hold by construction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.stats import norm
@@ -51,10 +51,8 @@ class EstimatorSettings:
     level: float = 0.95
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "riesz_method", "riesz_basis", "nuisance_basis", "degree", "ridge",
-            "outcome_family", "clip", "min_rows_per_fold", "level")}
-        d["mlp"] = self.mlp.to_dict() if self.mlp is not None else None
+        d = asdict(self)
+        d["mlp"] = d.pop("mlp")  # reports list the network settings last
         return d
 
 

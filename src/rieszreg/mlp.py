@@ -10,7 +10,7 @@ against central finite differences via ``numeric_gradient``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,17 +40,7 @@ class MlpConfig:
             raise SchemaError("batch size must be positive when given")
 
     def to_dict(self) -> dict:
-        return {
-            "hidden_layers": self.hidden_layers,
-            "width": self.width,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def init_params(n_inputs: int, config: MlpConfig, rng: np.random.Generator):

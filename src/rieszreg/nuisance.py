@@ -4,9 +4,11 @@ The innermost stage regresses the outcome on its conditioning set; every
 outer stage regresses a pseudo-outcome, namely the previous stage's mapped
 prediction, on its own conditioning set. Binary outcomes default to a
 logistic sieve (damped Newton on the penalized log-likelihood); everything
-else, pseudo-outcomes included, uses penalized least squares over the same
-feature dictionaries as the Riesz fits, which keeps the residual
-orthogonality identities between the two exact.
+else, pseudo-outcomes included, uses penalized least squares. That is the
+identity-map Riesz fit with weights equal to the target (mean[f^2 - 2*y*f]
+is mean[(y - f)^2] less a constant), so ``fit_least_squares`` calls the sieve
+Riesz solver, and on a basis shared with a Riesz fit its residual is
+orthogonal to the weight's span by construction.
 """
 
 from __future__ import annotations
@@ -20,10 +22,15 @@ from ._linalg import default_ridge, solve_normal_equations
 from .basis import Basis, make_basis
 from .data import Dataset
 from .errors import NonConvergenceError, SchemaError
-from .estimands import EstimandSpec, FunctionalMap, apply_map
+from .estimands import EstimandSpec, FunctionalMap, MapTerm, apply_map
+from .riesz import fit_sieve
 
 LOGISTIC_TOL = 1e-9
 LOGISTIC_MAX_ITER = 100
+# relative rounding allowance of the mean log-loss, a sum over every row
+OBJECTIVE_ROUNDING = 64 * np.finfo(np.float64).eps
+
+IDENTITY_MAP = FunctionalMap((MapTerm(1.0, ()),), ())
 
 
 @dataclass
@@ -63,25 +70,25 @@ class NuisanceFit:
 
 def fit_least_squares(basis: Basis, data, target: np.ndarray, ridge: float | None,
                       stage: int) -> NuisanceFit:
-    design = basis.design(data.columns if isinstance(data, Dataset) else data)
-    n = design.shape[0]
-    gram = design.T @ design / n
-    rhs = design.T @ np.asarray(target, dtype=np.float64) / n
-    if ridge is None:
-        ridge = default_ridge(gram)
-    coef, condition = solve_normal_equations(gram, rhs, ridge, what="regression Gram matrix")
-    return NuisanceFit(stage, "least_squares", basis, coef, float(ridge), condition)
+    """Penalized least squares: the identity-map Riesz fit weighted by the target."""
+    fit = fit_sieve(IDENTITY_MAP, data, basis, ridge=ridge, weights=target)
+    return NuisanceFit(stage, "least_squares", basis, fit.coef, fit.ridge,
+                       fit.gram_condition)
 
 
 def fit_logistic(basis: Basis, data, target: np.ndarray, ridge: float | None,
                  stage: int, tol: float = LOGISTIC_TOL,
                  max_iter: int = LOGISTIC_MAX_ITER) -> NuisanceFit:
     """Damped Newton on mean log-loss plus (ridge/2)*||coef||^2; converges
-    when the largest gradient component falls below ``tol``."""
+    when the largest gradient component falls below ``tol``.
+
+    Once the step's predicted decrease grad.step/2 is below the rounding of
+    the objective, the line search cannot tell better from worse; the fit is
+    then deep in the quadratic region and takes the full Newton step."""
     target = np.asarray(target, dtype=np.float64)
     if not np.isin(target, (0.0, 1.0)).all():
         raise SchemaError("logistic fits require a 0/1 target")
-    design = basis.design(data.columns if isinstance(data, Dataset) else data)
+    design = basis.design(data)
     n, dim = design.shape
     if ridge is None:
         ridge = default_ridge(design.T @ design / n)
@@ -104,18 +111,22 @@ def fit_logistic(basis: Basis, data, target: np.ndarray, ridge: float | None,
         hessian = (design * (probs * (1 - probs))[:, None]).T @ design / n
         step, condition = solve_normal_equations(hessian, grad, ridge,
                                                  what="logistic Hessian")
+        in_rounding = 0.5 * grad @ step <= OBJECTIVE_ROUNDING * abs(value)
         scale = 1.0
         while scale > 1e-10:
             trial = coef - scale * step
             trial_value = objective(trial)
-            if trial_value <= value:
+            if trial_value <= value or in_rounding:
                 coef, value = trial, trial_value
                 break
             scale /= 2.0
         else:
+            reason = f"its line search stalled at iteration {iteration}"
             break
+    else:
+        reason = f"in {max_iter} iterations"
     raise NonConvergenceError(
-        f"logistic fit did not converge in {max_iter} iterations "
+        f"logistic fit did not converge {reason} "
         f"(max gradient {np.max(np.abs(grad)):.3e}, tol {tol:g})")
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import mlp as mlp_net
 from ._linalg import default_ridge, solve_normal_equations
 from .basis import Basis, make_basis
-from .data import Dataset
+from .data import Dataset, as_columns, constant_one
 from .errors import SchemaError, TrainingDivergedError
 from .estimands import EstimandSpec, FunctionalMap, apply_map, builtin_spec, term_columns
 from .mlp import MlpConfig
@@ -31,7 +31,7 @@ from .simulate import substream
 
 def riesz_loss(fn, fmap: FunctionalMap, data, weights=None) -> float:
     """Empirical Riesz loss of ``fn``; weights enter the map term only."""
-    cols, n = _columns(data)
+    cols, n = as_columns(data)
     weights = _check_weights(weights, n)
     observed = np.asarray(fn(cols), dtype=np.float64)
     mapped = apply_map(fmap, fn, data)
@@ -121,8 +121,7 @@ class ClosedFormRieszFit:
 
 
 def constant_one_fit() -> ClosedFormRieszFit:
-    return ClosedFormRieszFit(
-        "constant_one", lambda cols: np.ones(len(next(iter(cols.values())))))
+    return ClosedFormRieszFit("constant_one", constant_one)
 
 
 RieszFit = SieveRieszFit | MlpRieszFit | ClosedFormRieszFit
@@ -138,29 +137,31 @@ def fit_sieve(fmap: FunctionalMap, data, basis: Basis, ridge: float | None = Non
     the basis span: (G + ridge*I) coef = mean_i[w_i * m(x_i; features)].
 
     ridge=None applies the scale-aware default; pass 0.0 for the exact
-    unpenalized solution (errors if the Gram matrix is singular).
+    unpenalized solution (errors if the Gram matrix is singular). With the
+    identity map and weights equal to a target this is least squares.
     """
-    cols, n = _columns(data)
-    weights = _check_weights(weights, n)
-    design = basis.design(cols)
-    gram = design.T @ design / n
-    rhs = _mapped_design(basis, fmap, data).T @ weights / n
+    _, gram, rhs = _sieve_system(basis, fmap, data, weights)
     if ridge is None:
         ridge = default_ridge(gram)
-    coef, condition = solve_normal_equations(gram, rhs, ridge, what="Riesz Gram matrix")
+    coef, condition = solve_normal_equations(gram, rhs, ridge, what="sieve Gram matrix")
     loss = float(coef @ gram @ coef - 2.0 * coef @ rhs)
     return SieveRieszFit(basis, coef, float(ridge), loss, condition)
 
 
-def _mapped_design(basis: Basis, fmap: FunctionalMap, data) -> np.ndarray:
-    """Row-wise map of every basis feature: sum_t coef_t * design(x with
-    term t's assignments applied). Shape (n, dim)."""
-    cols, n = _columns(data)
+def _sieve_system(basis: Basis, fmap: FunctionalMap, data, weights):
+    """(design, Gram matrix, right-hand side) of the sieve normal equations,
+    the right-hand side being mean_i[w_i * m(x_i; feature)] per feature. It is
+    accumulated one map term at a time, and a term without assignments reuses
+    the observed design rather than evaluating the basis again."""
+    cols, n = as_columns(data)
+    weights = _check_weights(weights, n)
+    design = basis.design(cols)
     schema = data if isinstance(data, Dataset) else None
-    out = np.zeros((n, basis.dim))
-    for coef, overridden in term_columns(fmap, cols, n, schema):
-        out += coef * basis.design(overridden)
-    return out
+    rhs = np.zeros(basis.dim)
+    for term, (coef, overridden) in zip(fmap.terms, term_columns(fmap, cols, n, schema)):
+        term_design = basis.design(overridden) if term.assignments else design
+        rhs += coef * (term_design.T @ weights)
+    return design, design.T @ design / n, rhs / n
 
 
 def representation_residuals(fit: SieveRieszFit, fmap: FunctionalMap, data,
@@ -171,12 +172,9 @@ def representation_residuals(fit: SieveRieszFit, fmap: FunctionalMap, data,
 
     With ridge 0 these are the finite-sample representation-identity gaps
     over the basis span; near machine zero certifies the fit."""
-    cols, n = _columns(data)
-    weights = _check_weights(weights, n)
-    design = fit.basis.design(cols)
+    design, _, rhs = _sieve_system(fit.basis, fmap, data, weights)
     fitted = design @ fit.coef
-    lhs = design.T @ fitted / n + fit.ridge * fit.coef
-    rhs = _mapped_design(fit.basis, fmap, data).T @ weights / n
+    lhs = design.T @ fitted / len(design) + fit.ridge * fit.coef
     return lhs - rhs
 
 
@@ -184,10 +182,7 @@ def map_bound_probe(fmap: FunctionalMap, basis: Basis, data, trials: int = 100,
                     seed: int = 0) -> float:
     """Empirical boundedness diagnostic: max |mean m(.; f)| over random
     basis-span functions f scaled to unit empirical L2 norm."""
-    cols, n = _columns(data)
-    design = basis.design(cols)
-    gram = design.T @ design / n
-    rhs = _mapped_design(basis, fmap, data).mean(axis=0)
+    _, gram, rhs = _sieve_system(basis, fmap, data, None)
     rng = substream(seed)
     worst = 0.0
     for _ in range(trials):
@@ -213,28 +208,15 @@ def fit_mlp(fmap: FunctionalMap, data, config: MlpConfig, weights=None,
     final entry never above the initial one for epochs > 0 monitored by the
     divergence guard.
     """
-    cols, n = _columns(data)
-    weights = _check_weights(weights, n)
-    if columns is None:
-        assigned = [v for v in sorted(fmap.assigned_vars()) if v not in fmap.free_vars]
-        columns = tuple(fmap.free_vars) + tuple(assigned)
-    columns = tuple(columns)
-
-    x_observed = _stack(cols, columns)
-    schema = data if isinstance(data, Dataset) else None
-    term_coefs = []
-    term_inputs = []
-    for coef, overridden in term_columns(fmap, cols, n, schema):
-        term_coefs.append(coef)
-        term_inputs.append(_stack(overridden, columns))
-    stacked = np.vstack([x_observed] + term_inputs)
+    columns, blocks, weights, loss_and_grad = _mlp_problem(fmap, data, weights, columns)
+    n = len(weights)
+    stacked = np.vstack(blocks)
 
     rng = substream(config.seed)
     params = mlp_net.init_params(len(columns), config, rng)
 
     def full_loss(p) -> float:
-        out = mlp_net.forward(p, stacked)
-        return _assembled_loss(out, term_coefs, weights, n)
+        return loss_and_grad(mlp_net.forward(p, stacked), weights)[0]
 
     state = mlp_net.AdamState(params)
     batch = config.batch_size
@@ -242,16 +224,16 @@ def fit_mlp(fmap: FunctionalMap, data, config: MlpConfig, weights=None,
     for epoch in range(config.epochs):
         if batch is None:
             # the gradient pass yields the loss at the epoch's entry for free
-            params, entry_loss = _gradient_step(params, stacked, term_coefs,
-                                                weights, n, state, config)
+            params, entry_loss = _gradient_step(params, stacked, loss_and_grad, weights,
+                                                state, config)
             curve.append(entry_loss)
         else:
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 rows = order[start:start + batch]
-                sub = np.vstack([x_observed[rows]] + [xt[rows] for xt in term_inputs])
-                params, _ = _gradient_step(params, sub, term_coefs, weights[rows],
-                                           len(rows), state, config)
+                sub = np.vstack([block[rows] for block in blocks])
+                params, _ = _gradient_step(params, sub, loss_and_grad, weights[rows],
+                                           state, config)
             curve.append(full_loss(params))
         if not np.isfinite(curve[-1]):
             raise TrainingDivergedError(
@@ -265,27 +247,44 @@ def fit_mlp(fmap: FunctionalMap, data, config: MlpConfig, weights=None,
     return MlpRieszFit(columns, params, config, final, np.asarray(curve))
 
 
-def _assembled_loss(out: np.ndarray, term_coefs, weights, n: int) -> float:
-    observed = out[:n]
-    value = float(np.mean(observed ** 2))
-    for t, coef in enumerate(term_coefs):
-        block = out[(t + 1) * n:(t + 2) * n]
-        value -= 2.0 * coef * float(np.mean(weights * block))
-    return value
+def _mlp_problem(fmap: FunctionalMap, data, weights, columns):
+    """The network's view of the Riesz loss: the input column order, the
+    observed rows followed by one block of rows per map term, the checked
+    weights, and ``loss_and_grad(out, weights)``, which returns the loss of
+    outputs stacked that way and its gradient with respect to each output."""
+    cols, n = as_columns(data)
+    weights = _check_weights(weights, n)
+    if columns is None:
+        assigned = [v for v in sorted(fmap.assigned_vars()) if v not in fmap.free_vars]
+        columns = tuple(fmap.free_vars) + tuple(assigned)
+    columns = tuple(columns)
+    schema = data if isinstance(data, Dataset) else None
+    terms = [(coef, _stack(overridden, columns))
+             for coef, overridden in term_columns(fmap, cols, n, schema)]
+    blocks = [_stack(cols, columns)] + [x for _, x in terms]
+
+    def loss_and_grad(out: np.ndarray, w: np.ndarray):
+        rows = len(w)
+        value = float(np.mean(out[:rows] ** 2))
+        grad_out = np.empty_like(out)
+        grad_out[:rows] = 2.0 * out[:rows] / rows
+        for t, (coef, _) in enumerate(terms, start=1):
+            block = slice(t * rows, (t + 1) * rows)
+            value -= 2.0 * coef * float(np.mean(w * out[block]))
+            grad_out[block] = -2.0 * coef * w / rows
+        return value, grad_out
+
+    return columns, blocks, weights, loss_and_grad
 
 
-def _gradient_step(params, stacked, term_coefs, weights, n, state, config):
+def _gradient_step(params, stacked, loss_and_grad, weights, state, config):
     # overflow here is the divergence signal, not a numerical accident to warn on
     with np.errstate(over="ignore", invalid="ignore"):
         out, cache = mlp_net.forward_cached(params, stacked)
-    loss = _assembled_loss(out, term_coefs, weights, n)
+    loss, grad_out = loss_and_grad(out, weights)
     if not np.isfinite(loss):
         raise TrainingDivergedError(
             f"training loss became non-finite after {state.t} updates (loss={loss!r})")
-    grad_out = np.empty_like(out)
-    grad_out[:n] = 2.0 * out[:n] / n
-    for t, coef in enumerate(term_coefs):
-        grad_out[(t + 1) * n:(t + 2) * n] = -2.0 * coef * weights / n
     grads = mlp_net.backward(params, cache, grad_out)
     return state.step(params, grads, config), loss
 
@@ -294,31 +293,16 @@ def mlp_loss_gradients(fmap: FunctionalMap, data, config: MlpConfig, weights=Non
                        columns=None, step: float = 1e-5):
     """Analytic vs central-finite-difference loss gradients at the seeded
     initialization; returns (analytic, numeric) flat arrays."""
-    cols, n = _columns(data)
-    weights = _check_weights(weights, n)
-    if columns is None:
-        assigned = [v for v in sorted(fmap.assigned_vars()) if v not in fmap.free_vars]
-        columns = tuple(fmap.free_vars) + tuple(assigned)
-    columns = tuple(columns)
-    x_observed = _stack(cols, columns)
-    schema = data if isinstance(data, Dataset) else None
-    term_coefs = []
-    term_inputs = []
-    for coef, overridden in term_columns(fmap, cols, n, schema):
-        term_coefs.append(coef)
-        term_inputs.append(_stack(overridden, columns))
-    stacked = np.vstack([x_observed] + term_inputs)
+    columns, blocks, weights, loss_and_grad = _mlp_problem(fmap, data, weights, columns)
+    stacked = np.vstack(blocks)
     params = mlp_net.init_params(len(columns), config, substream(config.seed))
 
     out, cache = mlp_net.forward_cached(params, stacked)
-    grad_out = np.empty_like(out)
-    grad_out[:n] = 2.0 * out[:n] / n
-    for t, coef in enumerate(term_coefs):
-        grad_out[(t + 1) * n:(t + 2) * n] = -2.0 * coef * weights / n
-    analytic = mlp_net.flatten(mlp_net.backward(params, cache, grad_out))
+    analytic = mlp_net.flatten(
+        mlp_net.backward(params, cache, loss_and_grad(out, weights)[1]))
 
     def loss_of(p) -> float:
-        return _assembled_loss(mlp_net.forward(p, stacked), term_coefs, weights, n)
+        return loss_and_grad(mlp_net.forward(p, stacked), weights)[0]
 
     numeric = mlp_net.numeric_gradient(loss_of, params, step=step)
     return analytic, numeric
@@ -381,14 +365,6 @@ def fit_sequential_nde(data: Dataset, a_prime: float, method: str = "sieve",
 # Helpers
 # ---------------------------------------------------------------------------
 
-def _columns(data):
-    if isinstance(data, Dataset):
-        return data.columns, data.n
-    cols = {k: np.asarray(v, dtype=np.float64) for k, v in data.items()}
-    n = len(next(iter(cols.values())))
-    return cols, n
-
-
 def _check_weights(weights, n: int) -> np.ndarray:
     if weights is None:
         return np.ones(n)
@@ -400,6 +376,5 @@ def _check_weights(weights, n: int) -> np.ndarray:
 
 def _stack(cols, columns) -> np.ndarray:
     if not columns:
-        n = len(next(iter(cols.values())))
-        return np.empty((n, 0))
+        return np.empty((as_columns(cols)[1], 0))
     return np.column_stack([np.asarray(cols[c], dtype=np.float64) for c in columns])

@@ -3,10 +3,16 @@
 Two desk-scale DGPs are provided: a binary-confounder benchmark
 (``AppendixDgp``) with a normal mediator and a logistic binary outcome, and a
 fully discrete 2x2 design (``DiscreteDgp``) where every population quantity
-is an exact finite sum. The truth oracle evaluates any nested-regression
-estimand against the true law by exact summation over the discrete variables
-and Gauss-Hermite quadrature over the mediator; it shares no code with the
-estimation stack, so it can serve as an independent check on it.
+is an exact finite sum. Both expose ``schema()``, a vectorized
+``propensity_of(w)`` = P(A=1 | W=w), ``marginal_treated()``,
+``outcome_mean(cols)``, ``sample(n, rng)`` and the attributes ``label``,
+``has_mediator`` and ``outcome_parents``; ``simulate(dgp, n, seed)`` draws
+from either, and ``DGPS`` maps each label to its class. The truth oracle
+evaluates any nested-regression estimand against the true law by exact
+summation over the discrete variables and Gauss-Hermite quadrature over the
+mediator; it shares no code with the estimation stack, so it can serve as an
+independent check on it. (The stack's least squares is the identity-map
+Riesz fit, so its residuals are orthogonal to a shared basis by construction.)
 
 Reproducibility: all sampling uses the Philox counter-based generator, with
 independent substreams derived via SeedSequence spawn keys
@@ -23,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit
 
-from .data import Column, Dataset
+from .data import Column, Dataset, as_columns, constant_one
 from .errors import RieszregError, SchemaError
 from .estimands import EstimandSpec
 
@@ -73,6 +79,7 @@ class AppendixDgp:
         if self.m_sd <= 0:
             raise SchemaError(f"mediator standard deviation must be positive, got {self.m_sd}")
 
+    label = "appendix"
     has_mediator = True
     outcome_parents = ("A", "M", "W")
 
@@ -84,8 +91,8 @@ class AppendixDgp:
             Column("Y", "outcome", "binary"),
         )
 
-    def propensity(self, w) -> float:
-        return self.p_treated
+    def propensity_of(self, w) -> np.ndarray:
+        return np.full(np.shape(w), self.p_treated)
 
     def marginal_treated(self) -> float:
         return self.p_treated
@@ -98,8 +105,12 @@ class AppendixDgp:
                + self.y_mediator * cols["M"] + self.y_conf * cols["W"])
         return expit(lin)
 
-    def label(self) -> str:
-        return "appendix"
+    def sample(self, n: int, rng: np.random.Generator) -> dict:
+        w = (rng.random(n) < self.p_confounder).astype(np.float64)
+        a = (rng.random(n) < self.propensity_of(w)).astype(np.float64)
+        m = self.mediator_mean(a, w) + self.m_sd * rng.standard_normal(n)
+        y = (rng.random(n) < self.outcome_mean({"A": a, "M": m, "W": w})).astype(np.float64)
+        return {"W": w, "A": a, "M": m, "Y": y}
 
 
 @dataclass(frozen=True)
@@ -116,6 +127,10 @@ class DiscreteDgp:
         (0.2, 0.5), (0.5, 0.7))
 
     def __post_init__(self):
+        # JSON parameter files give lists; keep the instance hashable
+        object.__setattr__(self, "propensity", tuple(self.propensity))
+        object.__setattr__(self, "outcome_mean_table",
+                           tuple(tuple(row) for row in self.outcome_mean_table))
         probs = (self.p_confounder, *self.propensity)
         if not all(0.0 < p < 1.0 for p in probs):
             raise SchemaError(
@@ -128,6 +143,7 @@ class DiscreteDgp:
         if not all(0.0 <= q <= 1.0 for q in flat):
             raise SchemaError(f"outcome means must lie in [0, 1], got {flat}")
 
+    label = "discrete"
     has_mediator = False
     outcome_parents = ("A", "W")
 
@@ -152,50 +168,25 @@ class DiscreteDgp:
         table = np.asarray(self.outcome_mean_table)
         return table[a, w]
 
-    def label(self) -> str:
-        return "discrete"
+    def sample(self, n: int, rng: np.random.Generator) -> dict:
+        w = (rng.random(n) < self.p_confounder).astype(np.float64)
+        a = (rng.random(n) < self.propensity_of(w)).astype(np.float64)
+        y = (rng.random(n) < self.outcome_mean({"A": a, "W": w})).astype(np.float64)
+        return {"W": w, "A": a, "Y": y}
 
 
-def _propensity_at(dgp, w: float) -> float:
-    if isinstance(dgp, DiscreteDgp):
-        return float(dgp.propensity_of(w))
-    return dgp.propensity(w)
+DGPS = {dgp.label: dgp for dgp in (AppendixDgp, DiscreteDgp)}
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
 
-def simulate_appendix(n: int, seed: int, dgp: AppendixDgp | None = None) -> Dataset:
-    """Draw n i.i.d. observations (W, A, M, Y); deterministic given seed."""
-    if n < 1:
-        raise SchemaError(f"sample size must be >= 1, got {n}")
-    dgp = dgp if dgp is not None else AppendixDgp()
-    rng = substream(seed)
-    w = (rng.random(n) < dgp.p_confounder).astype(np.float64)
-    a = (rng.random(n) < dgp.p_treated).astype(np.float64)
-    m = dgp.mediator_mean(a, w) + dgp.m_sd * rng.standard_normal(n)
-    y = (rng.random(n) < dgp.outcome_mean({"A": a, "M": m, "W": w})).astype(np.float64)
-    return Dataset(dgp.schema(), {"W": w, "A": a, "M": m, "Y": y}, seed=seed)
-
-
-def simulate_discrete(dgp: DiscreteDgp, n: int, seed: int) -> Dataset:
-    """Draw n i.i.d. observations (W, A, Y) from the 2x2 design."""
-    if n < 1:
-        raise SchemaError(f"sample size must be >= 1, got {n}")
-    rng = substream(seed)
-    w = (rng.random(n) < dgp.p_confounder).astype(np.float64)
-    a = (rng.random(n) < dgp.propensity_of(w)).astype(np.float64)
-    y = (rng.random(n) < dgp.outcome_mean({"A": a, "W": w})).astype(np.float64)
-    return Dataset(dgp.schema(), {"W": w, "A": a, "Y": y}, seed=seed)
-
-
 def simulate(dgp, n: int, seed: int) -> Dataset:
-    if isinstance(dgp, AppendixDgp):
-        return simulate_appendix(n, seed, dgp)
-    if isinstance(dgp, DiscreteDgp):
-        return simulate_discrete(dgp, n, seed)
-    raise SchemaError(f"unknown DGP type {type(dgp).__name__}")
+    """Draw n i.i.d. observations from a DGP; deterministic given seed."""
+    if n < 1:
+        raise SchemaError(f"sample size must be >= 1, got {n}")
+    return Dataset(dgp.schema(), dgp.sample(n, substream(seed)), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +228,7 @@ def _conditional_expectation(dgp, fn, needs, cond, nodes) -> float:
         for a in (0.0, 1.0):
             if "A" in cond and cond["A"] != a:
                 continue
-            pa1 = _propensity_at(dgp, w)
+            pa1 = float(dgp.propensity_of(w))
             p = pw * (pa1 if a == 1.0 else 1.0 - pa1)
             point = dict(cond)
             point["W"] = w
@@ -329,7 +320,7 @@ def truth_report(spec: EstimandSpec, dgp, nodes: int = GH_NODES_DEFAULT) -> dict
     refined = _truth_value(spec, dgp, 2 * nodes) if dgp.has_mediator else theta
     return {
         "spec": spec.name,
-        "dgp": dgp.label(),
+        "dgp": dgp.label,
         "theta": theta,
         "quadrature": {
             "nodes": nodes if dgp.has_mediator else 0,
@@ -352,11 +343,9 @@ def true_nuisance(spec: EstimandSpec, dgp, k: int, nodes: int = GH_NODES_DEFAULT
     given = stage.given
 
     def predict(cols):
-        arrays = [np.asarray(cols[v], dtype=np.float64) for v in given]
-        n = len(arrays[0]) if arrays else len(next(iter(cols.values())))
-        out = np.full(n, q_scalar({}) if not given else np.nan)
-        if not given:
-            return out
+        cols, n = as_columns(cols)
+        arrays = [cols[v] for v in given]
+        out = np.full(n, np.nan)
         for combo in np.ndindex(*(2,) * len(given)):
             values = [float(c) for c in combo]
             mask = np.ones(n, dtype=bool)
@@ -382,38 +371,41 @@ def closed_form_representer(name: str, dgp, stage: int | None = None,
     E[weight * Y] = theta). For "nde", ``a_prime`` picks one arm; when it is
     None the innermost weight is the contrast (arm 1 minus arm 0) form.
     """
+    def prop(cols):
+        return dgp.propensity_of(cols["W"])
+
     if name == "mean_treated":
         p1 = dgp.marginal_treated()
         forms = {1: lambda cols: (cols["A"] == 1.0) / p1}
     elif name == "ate":
         forms = {
-            1: _constant_one,
-            2: lambda cols: ((cols["A"] == 1.0) / _prop(dgp, cols)
-                             - (cols["A"] == 0.0) / (1.0 - _prop(dgp, cols))),
+            1: constant_one,
+            2: lambda cols: ((cols["A"] == 1.0) / prop(cols)
+                             - (cols["A"] == 0.0) / (1.0 - prop(cols))),
         }
     elif name == "att_control_mean":
         p1 = dgp.marginal_treated()
         forms = {
             1: lambda cols: (cols["A"] == 1.0) / p1,
             2: lambda cols: ((cols["A"] == 0.0) / p1
-                             * _prop(dgp, cols) / (1.0 - _prop(dgp, cols))),
+                             * prop(cols) / (1.0 - prop(cols))),
         }
     elif name == "nde":
         if a_prime is None:
             def inner(cols):
-                p = _prop(dgp, cols)
+                p = prop(cols)
                 return ((cols["A"] == 1.0) / p * _mediator_ratio(dgp, cols, 1.0)
                         - (cols["A"] == 0.0) / (1.0 - p))
         else:
             arm = float(a_prime)
 
             def inner(cols):
-                p = _prop(dgp, cols)
+                p = prop(cols)
                 f_arm = p if arm == 1.0 else 1.0 - p
                 return (cols["A"] == arm) / f_arm * _mediator_ratio(dgp, cols, arm)
         forms = {
-            1: _constant_one,
-            2: lambda cols: (cols["A"] == 0.0) / (1.0 - _prop(dgp, cols)),
+            1: constant_one,
+            2: lambda cols: (cols["A"] == 0.0) / (1.0 - prop(cols)),
             3: inner,
         }
     else:
@@ -422,16 +414,6 @@ def closed_form_representer(name: str, dgp, stage: int | None = None,
     if k not in forms:
         raise SchemaError(f"estimand {name!r} has no stage {k}")
     return forms[k]
-
-
-def _constant_one(cols):
-    return np.ones(len(next(iter(cols.values()))))
-
-
-def _prop(dgp, cols) -> np.ndarray:
-    if isinstance(dgp, DiscreteDgp):
-        return dgp.propensity_of(cols["W"])
-    return np.full(len(np.asarray(cols["W"])), dgp.propensity(None))
 
 
 def _mediator_ratio(dgp, cols, arm: float) -> np.ndarray:

@@ -19,13 +19,14 @@ proving the representation check can fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .data import Column, Dataset, as_columns, constant_one
 from .errors import SchemaError
 from .estimands import builtin_spec
-from .estimator import _stage_values, verify_orthogonality
+from .estimator import assemble_eif, verify_orthogonality
 from .mlp import MlpConfig
 from .nuisance import fit_all_stages
 from .riesz import fit_sequential, mlp_loss_gradients, representation_residuals
@@ -47,8 +48,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "residual": self.residual,
-                "tol": self.tol, "detail": self.detail}
+        return asdict(self)
 
 
 def _concrete_builtins():
@@ -131,21 +131,21 @@ def check_eif_formulas(seed: int = 0, rows: int = 1000) -> CheckResult:
     worst = 0.0
 
     # Treatment-difference estimand
-    alpha2 = _fn(lambda c: _ind(c["A"], 1.0) / _plev(c, prop_levels)
-                 - _ind(c["A"], 0.0) / (1.0 - _plev(c, prop_levels)))
-    terms = _assembled(builtin_spec("ate"), [_one(), alpha2], [_q1_dummy(), _fn(q2)],
-                       data, theta)
+    alpha2 = lambda c: (_ind(c["A"], 1.0) / _plev(c, prop_levels)
+                        - _ind(c["A"], 0.0) / (1.0 - _plev(c, prop_levels)))
+    terms = sum(t.values for t in assemble_eif(
+        builtin_spec("ate"), [constant_one, alpha2], [_q1_dummy(), q2], data, theta))
     hand = ((a / prop - (1.0 - a) / (1.0 - prop)) * (y - q2(cols))
             + q2_table[1, w.astype(int)] - q2_table[0, w.astype(int)] - theta)
     worst = max(worst, float(np.max(np.abs(terms - hand))))
 
     # Subgroup (control-mean-among-treated) estimand
     treated = float(rng.uniform(0.1, 0.9))
-    alpha1 = _fn(lambda c: _ind(c["A"], 1.0) / treated)
-    alpha2 = _fn(lambda c: _ind(c["A"], 0.0) / treated
-                 * _plev(c, prop_levels) / (1.0 - _plev(c, prop_levels)))
-    terms = _assembled(builtin_spec("att_control_mean"), [alpha1, alpha2],
-                       [_q1_dummy(), _fn(q2)], data, theta)
+    alpha1 = lambda c: _ind(c["A"], 1.0) / treated
+    alpha2 = lambda c: (_ind(c["A"], 0.0) / treated
+                        * _plev(c, prop_levels) / (1.0 - _plev(c, prop_levels)))
+    terms = sum(t.values for t in assemble_eif(
+        builtin_spec("att_control_mean"), [alpha1, alpha2], [_q1_dummy(), q2], data, theta))
     hand = ((1.0 - a) / treated * prop / (1.0 - prop) * (y - q2(cols))
             + a / treated * (q2_table[0, w.astype(int)] - theta))
     worst = max(worst, float(np.max(np.abs(terms - hand))))
@@ -160,11 +160,11 @@ def check_eif_formulas(seed: int = 0, rows: int = 1000) -> CheckResult:
     def ratio(c):
         return np.exp(ratio_coef[0] + ratio_coef[1] * c["M"] + ratio_coef[2] * c["W"])
 
-    alpha3 = _fn(lambda c: _ind(c["A"], 1.0) / _plev(c, prop_levels) * ratio(c))
-    alpha2 = _fn(lambda c: _ind(c["A"], 0.0) / (1.0 - _plev(c, prop_levels)))
+    alpha3 = lambda c: _ind(c["A"], 1.0) / _plev(c, prop_levels) * ratio(c)
+    alpha2 = lambda c: _ind(c["A"], 0.0) / (1.0 - _plev(c, prop_levels))
     spec = builtin_spec("nde").instantiate(1.0)
-    terms = _assembled(spec, [_one(), alpha2, alpha3], [_q1_dummy(), _fn(q2), _fn(q3)],
-                       data, theta)
+    terms = sum(t.values for t in assemble_eif(
+        spec, [constant_one, alpha2, alpha3], [_q1_dummy(), q2, q3], data, theta))
     q3_arm = q3({"A": np.ones(n), "M": m, "W": w})
     hand = (a / prop * ratio(cols) * (y - q3(cols))
             + (1.0 - a) / (1.0 - prop) * (q3_arm - q2(cols))
@@ -237,8 +237,6 @@ def run_checks(names=None, seed: int = 0, flip_sign: bool = False) -> list[Check
 # -- small wrappers used by the formula check --------------------------------
 
 def _raw_dataset(cols):
-    from .data import Column, Dataset
-
     schema = (
         Column("W", "covariate", "binary"),
         Column("A", "treatment", "binary"),
@@ -256,23 +254,7 @@ def _plev(cols, prop_levels):
     return prop_levels[cols["W"].astype(int)]
 
 
-def _fn(fn):
-    return fn
-
-
-def _one():
-    return lambda cols: np.ones(len(next(iter(cols.values()))))
-
-
 def _q1_dummy():
     """Outer-stage regression placeholder; its mapped value never enters the
     assembled sum (theta replaces it), but assembly evaluates the plug-in."""
-    return lambda cols: np.zeros(len(next(iter(cols.values()))))
-
-
-def _assembled(spec, alphas, nuisances, data, theta):
-    parts = _stage_values(spec, alphas, nuisances, data)
-    total = parts.alpha1 * (parts.next_mapped - theta)
-    for _, values in parts.tail:
-        total = total + values
-    return total
+    return lambda cols: np.zeros(as_columns(cols)[1])

@@ -212,3 +212,67 @@ class TestErrorCodes:
         meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
         assert meta["truth_reports"][0]["spec"] == "ate"
         assert meta["truth_reports"][0]["theta"] == pytest.approx(0.25)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse reports usage errors this way
+        return exc.code
+
+
+def _write_csv(tmp_path, body):
+    # schema sidecar from a real simulated file, rows replaced by ``body``
+    path = tmp_path / "bad.csv"
+    assert run("simulate", "--dgp", "discrete", "--n", "20", "--seed", "1",
+               "--out", str(path)) == 0
+    path.write_text("W,A,Y\n" + body)
+    return path
+
+
+def _params(tmp_path, text):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    return ["simulate", "--dgp", "discrete", "--dgp-params", str(path), "--n", "10",
+            "--seed", "1", "--out", str(tmp_path / "x.csv")]
+
+
+def _estimate(tmp_path, *flags, body="1,0,1\n0,1,0\n" * 40):
+    return ["estimate", "--data", str(_write_csv(tmp_path, body)), "--spec", "ate",
+            "--folds", "2", "--min-rows-per-fold", "10", "--seed", "1",
+            "--out", str(tmp_path / "r.json"), *flags]
+
+
+def _benchmark(tmp_path, *flags):
+    return ["benchmark", "--spec", "ate", "--replicates", "1", "--seed", "1",
+            "--out", str(tmp_path / "t.csv"), *flags]
+
+
+BAD_INPUTS = [
+    ("unknown dgp", lambda t: _benchmark(t, "--dgp", "nope"), {}, 2, "--dgp"),
+    ("bad n list", lambda t: _benchmark(t, "--n", "abc"), {}, 2, "--n"),
+    ("bad thread variable", lambda t: _benchmark(t), {"RIESZREG_THREADS": "abc"}, 2,
+     "--threads"),
+    ("unknown dgp param", lambda t: _params(t, '{"nope": 1}'), {}, 3, "nope"),
+    ("malformed dgp params", lambda t: _params(t, '{"p_confounder": '), {}, 3,
+     "dgp-params"),
+    ("level above one", lambda t: _estimate(t, "--level", "1.5"), {}, 2, "--level"),
+    ("negative clip", lambda t: _estimate(t, "--clip", "-1"), {}, 2, "--clip"),
+    ("negative ridge", lambda t: _estimate(t, "--ridge", "-1"), {}, 2, "--ridge"),
+    ("header only csv", lambda t: _estimate(t, body=""), {}, 3, "no data rows"),
+    ("non-numeric cell", lambda t: _estimate(t, body="1,0,1\n0,x,0\n"), {}, 3,
+     "line 3, column 'A'"),
+    ("ragged row", lambda t: _estimate(t, body="1,0,1\n0,1\n"), {}, 3, "line 3 has 2 cells"),
+]
+
+
+@pytest.mark.parametrize("argv,env,code,says", [c[1:] for c in BAD_INPUTS],
+                         ids=[c[0] for c in BAD_INPUTS])
+def test_bad_input_exit_codes(argv, env, code, says, tmp_path, monkeypatch, capsys):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert _exit_code(args) == code
+    err = capsys.readouterr().err
+    assert says in err and "Traceback" not in err, err

@@ -16,7 +16,6 @@ from rieszreg import (
     fit_sequential,
     one_step_estimate,
     simulate,
-    simulate_discrete,
     true_nuisance,
     truth_oracle,
     verify_orthogonality,
@@ -161,7 +160,7 @@ class TestReportInvariants:
 
     @pytest.mark.parametrize("name", ["ate", "att_control_mean"])
     def test_influence_centered_at_estimate(self, discrete_dgp, name):
-        data = simulate_discrete(discrete_dgp, 3000, 8)
+        data = simulate(discrete_dgp, 3000, 8)
         report = one_step_estimate(builtin_spec(name), data, EXACT, folds=1, seed=1)
         spec = builtin_spec(name)
         alphas = fit_sequential(spec, data, basis_policy="saturated", ridge=0.0)
@@ -242,7 +241,7 @@ class TestFolding:
                               folds=2, seed=0)
 
     def test_missing_treatment_level_aborts(self, discrete_dgp):
-        data = simulate_discrete(discrete_dgp, 300, 1)
+        data = simulate(discrete_dgp, 300, 1)
         a = data.column("A").copy()
         a[:] = 1.0
         a[5] = 0.0  # a single control row cannot appear in every training split
@@ -280,7 +279,7 @@ class TestOrthogonalityDiagnostics:
 
 class TestCrossFitStatistical:
     def test_interval_covers_truth_on_easy_design(self, discrete_dgp):
-        data = simulate_discrete(discrete_dgp, 20000, 77)
+        data = simulate(discrete_dgp, 20000, 77)
         truth = truth_oracle(builtin_spec("ate"), discrete_dgp)
         report = one_step_estimate(builtin_spec("ate"), data,
                                    EstimatorSettings(), folds=5, seed=77)

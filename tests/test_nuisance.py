@@ -4,21 +4,26 @@ import numpy as np
 import pytest
 
 from rieszreg import (
+    AppendixDgp,
     Basis,
+    EstimatorSettings,
     Feature,
     NonConvergenceError,
     SchemaError,
     builtin_spec,
+    default_basis,
     fit_all_stages,
     fit_logistic,
     fit_stage,
+    one_step_estimate,
     predict_mapped,
     simulate,
     substream,
 )
 from rieszreg.basis import INTERCEPT, intercept_basis
+from rieszreg.bench import replicate_seed
 from rieszreg.data import Column, Dataset
-from rieszreg.nuisance import fit_least_squares
+from rieszreg.nuisance import LOGISTIC_TOL, fit_least_squares
 
 
 def _linear_basis(*names):
@@ -49,7 +54,7 @@ class TestLogistic:
 
     def test_iteration_cap_raises(self, appendix_data):
         basis = _linear_basis("A", "M", "W")
-        with pytest.raises(NonConvergenceError, match="did not converge"):
+        with pytest.raises(NonConvergenceError, match="did not converge in 2 iterations"):
             fit_logistic(basis, appendix_data, appendix_data.column("Y"),
                          ridge=0.0, stage=3, max_iter=2)
 
@@ -63,6 +68,21 @@ class TestLogistic:
         fit = fit_logistic(_linear_basis("X"), data, data.column("Y"), ridge=0.0,
                            stage=1)
         assert abs(fit.coef[1]) > 50
+
+    @pytest.mark.parametrize("task_seed,rep", [(87, 16), (114, 10), (419171175, 13)])
+    def test_gradient_floor_inputs_converge(self, task_seed, rep):
+        # each of these stalled just above tol: the line search could no longer
+        # see a decrease below the objective's rounding
+        seed = replicate_seed(task_seed, rep)
+        data = simulate(AppendixDgp(), 1000, seed)
+        report = one_step_estimate(builtin_spec("nde"), data, EstimatorSettings(),
+                                   folds=5, seed=seed)
+        assert np.isfinite(report.headline)
+        basis = default_basis(("A", "M", "W"), data)
+        fit = fit_logistic(basis, data, data.column("Y"), ridge=None, stage=3)
+        grad = (basis.design(data).T @ (fit(data.columns) - data.column("Y")) / data.n
+                + fit.ridge * fit.coef)
+        assert np.max(np.abs(grad)) < LOGISTIC_TOL
 
     def test_requires_binary_target(self, appendix_data):
         with pytest.raises(SchemaError, match="0/1"):

@@ -16,7 +16,6 @@ from rieszreg import (
     riesz_loss,
     saturated_basis,
     simulate,
-    simulate_discrete,
     substream,
     truth_oracle,
 )
@@ -41,7 +40,7 @@ class TestLoss:
     def test_indicator_under_subgroup_map(self):
         # loss(f) = mean[f(A)^2] - 2*f(1) = empirical P(A=1) - 2 for f = 1{A=1}
         dgp = DiscreteDgp(propensity=(0.5, 0.5))
-        data = simulate_discrete(dgp, 1_000_000, 31)
+        data = simulate(dgp, 1_000_000, 31)
         fmap = builtin_spec("mean_treated").stage(1).fmap
         loss = riesz_loss(lambda cols: (cols["A"] == 1.0).astype(float), fmap, data)
         assert abs(loss - (-1.5)) <= 4 * np.sqrt(0.25 / data.n)
@@ -195,7 +194,7 @@ class TestSequential:
 
 class TestMlpRiesz:
     def test_loss_approaches_sieve_minimum(self):
-        data = simulate_discrete(DiscreteDgp(), 5000, 9)
+        data = simulate(DiscreteDgp(), 5000, 9)
         fmap = builtin_spec("ate").stage(2).fmap
         sieve = fit_sieve(fmap, data, saturated_basis(("A", "W"), data), ridge=0.0)
         from rieszreg import fit_mlp

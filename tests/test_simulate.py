@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from rieszreg import (
+    AppendixDgp,
+    DGPS,
     Column,
     Dataset,
     DiscreteDgp,
@@ -9,8 +11,7 @@ from rieszreg import (
     apply_map,
     builtin_spec,
     closed_form_representer,
-    simulate_appendix,
-    simulate_discrete,
+    simulate,
     substream,
     true_nuisance,
     truth_oracle,
@@ -31,8 +32,8 @@ class TestSampling:
         assert abs(m.mean() - 0.505) <= 3 * np.std(m) / np.sqrt(n)
 
     def test_determinism_bytes(self, tmp_path):
-        one = simulate_appendix(5, 123)
-        two = simulate_appendix(5, 123)
+        one = simulate(AppendixDgp(), 5, 123)
+        two = simulate(AppendixDgp(), 5, 123)
         for name in ("W", "A", "M", "Y"):
             np.testing.assert_array_equal(one.column(name), two.column(name))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -48,7 +49,7 @@ class TestSampling:
 
     def test_discrete_forced_propensity(self):
         dgp = DiscreteDgp(propensity=(0.5, 0.5))
-        data = simulate_discrete(dgp, 1_000_000, 5)
+        data = simulate(dgp, 1_000_000, 5)
         assert abs(data.column("A").mean() - 0.5) <= 0.0015
 
     def test_positivity_enforced_by_constructor(self):
@@ -60,16 +61,16 @@ class TestSampling:
     def test_additive_outcome_gives_unit_effect(self):
         dgp = DiscreteDgp(outcome_mean_table=((0.0, 0.0), (1.0, 1.0)))
         assert truth_oracle(builtin_spec("ate"), dgp) == pytest.approx(1.0, abs=1e-12)
-        data = simulate_discrete(dgp, 20000, 3)
+        data = simulate(dgp, 20000, 3)
         a, y = data.column("A"), data.column("Y")
         assert y[a == 1].mean() - y[a == 0].mean() == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_sample_size(self):
         with pytest.raises(SchemaError):
-            simulate_appendix(0, 1)
+            simulate(AppendixDgp(), 0, 1)
 
     def test_csv_round_trip(self, tmp_path):
-        data = simulate_appendix(50, 77)
+        data = simulate(AppendixDgp(), 50, 77)
         path = tmp_path / "d.csv"
         data.to_csv(path)
         back = Dataset.from_csv(path)
@@ -206,3 +207,18 @@ class TestDatasetValidation:
         schema = (Column("Y", "outcome", "real"),)
         with pytest.raises(SchemaError, match="at least one row"):
             Dataset(schema, {"Y": np.array([])})
+
+
+class TestDgpProtocol:
+    @pytest.mark.parametrize("dgp", [AppendixDgp(), DiscreteDgp()], ids=lambda d: d.label)
+    def test_propensity_is_vectorized_and_named(self, dgp):
+        w = np.array([0.0, 1.0, 1.0])
+        assert dgp.propensity_of(w).shape == (3,)
+        assert float(dgp.propensity_of(1.0)) == dgp.propensity_of(w)[1]
+        assert DGPS[dgp.label] is type(dgp)
+
+    def test_discrete_parameters_from_json_lists(self):
+        dgp = DiscreteDgp(propensity=[0.4, 0.6], outcome_mean_table=[[0.1, 0.2], [0.3, 0.4]])
+        assert dgp == DiscreteDgp(propensity=(0.4, 0.6),
+                                  outcome_mean_table=((0.1, 0.2), (0.3, 0.4)))
+        hash(dgp)
