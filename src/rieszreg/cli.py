@@ -126,10 +126,10 @@ def _add_method_flags(cmd) -> None:
                      help="clip fitted |weights| at this bound")
     cmd.add_argument("--min-rows-per-fold", type=_positive_int, default=50)
     cmd.add_argument("--level", type=_unit_interval, default=0.95)
-    cmd.add_argument("--mlp-epochs", type=int, default=500)
+    cmd.add_argument("--mlp-epochs", type=_nonnegative_int, default=500)
     cmd.add_argument("--mlp-width", type=_positive_int, default=4)
     cmd.add_argument("--mlp-layers", type=_positive_int, default=2)
-    cmd.add_argument("--mlp-lr", type=float, default=1e-2)
+    cmd.add_argument("--mlp-lr", type=_positive_float, default=1e-2)
     cmd.add_argument("--mlp-batch", type=_positive_int, default=None)
 
 
@@ -147,6 +147,7 @@ def _checked(convert, accept, wanted: str):
 
 
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _positive_float = _checked(float, lambda v: 0 < v < np.inf, "a positive number")
 _nonnegative_float = _checked(float, lambda v: 0 <= v < np.inf, "a non-negative number")
 _unit_interval = _checked(float, lambda v: 0 < v < 1, "strictly between 0 and 1")

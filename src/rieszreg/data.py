@@ -172,9 +172,14 @@ class Dataset:
 
     @staticmethod
     def from_csv(path, schema_path=None) -> "Dataset":
-        with open(Dataset._sidecar(path, schema_path), encoding="utf-8") as fh:
-            meta = json.load(fh)
-        schema = tuple(Column.from_dict(d) for d in meta["columns"])
+        sidecar = Dataset._sidecar(path, schema_path)
+        with open(sidecar, encoding="utf-8") as fh:
+            try:
+                meta = json.load(fh)
+                schema = tuple(Column.from_dict(d) for d in meta["columns"])
+            except (ValueError, KeyError, TypeError) as exc:  # JSON errors are ValueErrors
+                raise SchemaError(f"schema sidecar {sidecar} is malformed "
+                                  f"({type(exc).__name__}: {exc})") from None
         expected = [c.name for c in schema]
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")

@@ -16,6 +16,13 @@ both bookkeeping identities hold by construction:
 
     theta_hat - plug_in = mean(eif_values)          (eif_values at plug_in)
     mean(influence at theta_hat) = 0
+
+Within one estimate each fold fits a stage once, and every contrast arm
+whose stage chain agrees reuses that fit. Fits are keyed by the content they
+depend on, never by the arm value: the regression Q_k by stage k's
+conditioning set and subgroup, the stage-(k+1) map and the key of Q_{k+1};
+the weight a_k by stage k and the key of a_{k-1}. In ``nde`` both arms share
+the outcome regression and the stage-2 weight.
 """
 
 from __future__ import annotations
@@ -231,13 +238,15 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
     settings = settings if settings is not None else EstimatorSettings()
     validate_binding(spec, data)
     fold_ids = _assign_folds(data.n, folds, seed, settings.min_rows_per_fold)
+    _check_fold_levels(spec, data, fold_ids, folds)
+    caches = [{} for _ in range(folds)]  # fitted models per fold, shared by the arms
 
     if spec.is_contrast:
         hi, lo = spec.contrast
         report_hi = _estimate_concrete(spec.instantiate(hi), data, settings, fold_ids,
-                                       folds, seed, f"{spec.name}[a'={hi:g}]")
+                                       folds, seed, f"{spec.name}[a'={hi:g}]", caches)
         report_lo = _estimate_concrete(spec.instantiate(lo), data, settings, fold_ids,
-                                       folds, seed, f"{spec.name}[a'={lo:g}]")
+                                       folds, seed, f"{spec.name}[a'={lo:g}]", caches)
         eif_diff = report_hi.eif_values - report_lo.eif_values
         difference = report_hi.theta_hat - report_lo.theta_hat
         se = float(np.std(eif_diff, ddof=1) / np.sqrt(data.n))
@@ -248,7 +257,7 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
                                         eif_diff)
     else:
         report = _estimate_concrete(spec, data, settings, fold_ids, folds, seed,
-                                    spec.name)
+                                    spec.name, caches)
     report.provenance = {
         "spec_sha256": spec.sha256(),
         "data_sha256": data.sha256(),
@@ -262,9 +271,8 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
 
 def _estimate_concrete(spec: EstimandSpec, data: Dataset, settings: EstimatorSettings,
                        fold_ids: np.ndarray, folds: int, seed: int,
-                       name: str) -> EstimateReport:
+                       name: str, caches: list) -> EstimateReport:
     n = data.n
-    _check_fold_levels(spec, data, fold_ids, folds)
 
     tail_sum = np.zeros(n)
     alpha1 = np.zeros(n)
@@ -281,10 +289,11 @@ def _estimate_concrete(spec: EstimandSpec, data: Dataset, settings: EstimatorSet
 
         nuisances = fit_all_stages(
             spec, train, basis_policy=settings.nuisance_basis, degree=settings.degree,
-            ridge=settings.ridge, outcome_family=settings.outcome_family)
+            ridge=settings.ridge, outcome_family=settings.outcome_family, cache=caches[v])
         alphas = fit_sequential(
             spec, train, method=settings.riesz_method, basis_policy=settings.riesz_basis,
-            degree=settings.degree, ridge=settings.ridge, mlp_config=settings.mlp)
+            degree=settings.degree, ridge=settings.ridge, mlp_config=settings.mlp,
+            cache=caches[v])
 
         parts = _stage_values(spec, alphas, nuisances, test, clip=settings.clip)
         clipped += parts.clipped

@@ -164,17 +164,28 @@ def fit_stage(spec: EstimandSpec, k: int, data: Dataset, prev: NuisanceFit | Non
 
 def fit_all_stages(spec: EstimandSpec, data: Dataset, basis_policy: str = "default",
                    degree: int = 2, ridge: float | None = None,
-                   outcome_family: str | None = None) -> list[NuisanceFit]:
-    """Fit Q_K down to Q_1; returns fits ordered outermost first."""
+                   outcome_family: str | None = None,
+                   cache: dict | None = None) -> list[NuisanceFit]:
+    """Fit Q_K down to Q_1; returns fits ordered outermost first.
+
+    ``cache``, shared by calls on the same rows with the same settings, hands
+    back a fit already made for the same stage chain: Q_k is keyed by stage
+    k's conditioning set and subgroup, the stage-(k+1) map and Q_{k+1}'s key.
+    """
     if spec.is_contrast:
         raise SchemaError("instantiate contrast specs before fitting nuisances")
+    cache = {} if cache is None else cache
     fits: list = [None] * spec.depth
-    prev = None
+    prev = key = None
     for k in range(spec.depth, 0, -1):
         family = outcome_family if k == spec.depth else None
-        prev = fit_stage(spec, k, data, prev=prev, basis_policy=basis_policy,
-                         degree=degree, ridge=ridge, family=family)
-        fits[k - 1] = prev
+        stage = spec.stage(k)
+        key = ("Q", stage.given, stage.where,
+               spec.stage(k + 1).fmap if k < spec.depth else family, key)
+        if key not in cache:
+            cache[key] = fit_stage(spec, k, data, prev=prev, basis_policy=basis_policy,
+                                   degree=degree, ridge=ridge, family=family)
+        prev = fits[k - 1] = cache[key]
     return fits
 
 

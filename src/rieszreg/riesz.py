@@ -315,27 +315,38 @@ def mlp_loss_gradients(fmap: FunctionalMap, data, config: MlpConfig, weights=Non
 def fit_sequential(spec: EstimandSpec, data: Dataset, method: str = "sieve",
                    basis_policy: str = "default", degree: int = 2,
                    ridge: float | None = None, mlp_config: MlpConfig | None = None,
-                   stage_weights=None) -> list:
+                   stage_weights=None, cache: dict | None = None) -> list:
     """Fit one representer per stage, outermost first.
 
     Stage k's loss weights are the fitted stage k-1 values (ones at k=1);
     marginal outer stages take the constant-1 weight without fitting.
     ``stage_weights`` (a {k: array} mapping) overrides the weights fed into
-    specific stages, which is useful for diagnostics.
+    specific stages, which is useful for diagnostics. ``cache``, shared by
+    calls on the same rows with the same settings, hands back a fit already
+    made for the same stage chain: stage k is keyed by its content and the
+    stage-(k-1) key. Overridden weights would make those keys lie, so the two
+    cannot be combined.
     """
     if spec.is_contrast:
         raise SchemaError("instantiate contrast specs before fitting representers")
     if method not in ("sieve", "mlp"):
         raise SchemaError(f"unknown Riesz method {method!r}")
+    if stage_weights is not None and cache is not None:
+        raise SchemaError("stage_weights cannot be combined with a fit cache")
     if method == "mlp" and mlp_config is None:
         mlp_config = MlpConfig()
+    cache = {} if cache is None else cache
     fits: list = []
     weights = np.ones(data.n)
+    key = None
     for k in range(1, spec.depth + 1):
         stage = spec.stage(k)
         if stage_weights is not None and k in stage_weights:
             weights = np.asarray(stage_weights[k], dtype=np.float64)
-        if not stage.given:
+        key = ("alpha", stage, key)
+        if key in cache:
+            fit = cache[key]
+        elif not stage.given:
             fit = constant_one_fit()
         elif method == "sieve":
             basis = make_basis(basis_policy, stage.given, data, degree)
@@ -345,6 +356,7 @@ def fit_sequential(spec: EstimandSpec, data: Dataset, method: str = "sieve",
                 mlp_config.seed, spawn_key=(k,)).generate_state(1)[0])
             fit = fit_mlp(stage.fmap, data, replace(mlp_config, seed=stage_seed),
                           weights=weights, columns=stage.given)
+        cache[key] = fit
         fits.append(fit)
         weights = np.asarray(fit(data.columns), dtype=np.float64)
     return fits

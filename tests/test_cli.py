@@ -243,6 +243,12 @@ def _estimate(tmp_path, *flags, body="1,0,1\n0,1,0\n" * 40):
             "--out", str(tmp_path / "r.json"), *flags]
 
 
+def _sidecar(tmp_path, text):
+    argv = _estimate(tmp_path)
+    (tmp_path / "bad.csv.schema.json").write_text(text)
+    return argv
+
+
 def _benchmark(tmp_path, *flags):
     return ["benchmark", "--spec", "ate", "--replicates", "1", "--seed", "1",
             "--out", str(tmp_path / "t.csv"), *flags]
@@ -263,6 +269,18 @@ BAD_INPUTS = [
     ("non-numeric cell", lambda t: _estimate(t, body="1,0,1\n0,x,0\n"), {}, 3,
      "line 3, column 'A'"),
     ("ragged row", lambda t: _estimate(t, body="1,0,1\n0,1\n"), {}, 3, "line 3 has 2 cells"),
+    ("truncated sidecar", lambda t: _sidecar(t, '{"columns": ['), {}, 3, "bad.csv.schema.json"),
+    ("sidecar without columns", lambda t: _sidecar(t, '{"cols": []}'), {}, 3,
+     "bad.csv.schema.json"),
+    ("sidecar not an object", lambda t: _sidecar(t, "[1,2]"), {}, 3, "bad.csv.schema.json"),
+    ("sidecar column without role", lambda t: _sidecar(t, '{"columns": [{"name": "W"}]}'),
+     {}, 3, "bad.csv.schema.json"),
+    ("negative mlp lr", lambda t: _estimate(t, "--method", "mlp", "--mlp-lr", "-1"), {}, 2,
+     "--mlp-lr"),
+    ("nan mlp lr", lambda t: _estimate(t, "--method", "mlp", "--mlp-lr", "nan"), {}, 2,
+     "--mlp-lr"),
+    ("negative mlp epochs", lambda t: _estimate(t, "--method", "mlp", "--mlp-epochs", "-3"),
+     {}, 2, "--mlp-epochs"),
 ]
 
 

@@ -20,6 +20,9 @@ from rieszreg import (
     truth_oracle,
     verify_orthogonality,
 )
+from rieszreg import nuisance, riesz
+from rieszreg.estimands import spec_from_document
+from rieszreg.mlp import MlpConfig
 from rieszreg.riesz import constant_one_fit
 
 EXACT = EstimatorSettings(riesz_basis="saturated", nuisance_basis="saturated",
@@ -294,3 +297,81 @@ class TestCrossFitStatistical:
         width_hi = report.ci.hi - report.ci.lo
         width_diff = report.headline_ci.hi - report.headline_ci.lo
         assert width_diff > 0 and width_hi > 0
+
+
+# An outer stage reads a', so the outcome regression and Q_2 are shared while
+# Q_1 and both weights differ by arm: a key that ignored the chain below (or
+# above) a stage would hand one arm the other arm's fit.
+OUTER_CONTRAST_DOC = {
+    "name": "outer_contrast",
+    "contrast": [1.0, 0.0],
+    "stages": [
+        {"regress": "Y", "given": ["A", "M", "W"],
+         "map": [{"coef": 1.0, "set": {"A": 1.0}}]},
+        {"regress": "prev", "given": ["A", "W"],
+         "map": [{"coef": 1.0, "set": {"A": "a'"}}]},
+        {"regress": "prev", "given": [], "map": [{"coef": 1.0, "set": {}}]},
+    ],
+}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestArmSharing:
+    """Both arms of a contrast fit each shared stage once per fold, and every
+    arm equals the same spec estimated on its own."""
+
+    MLP = EstimatorSettings(riesz_method="mlp", mlp=MlpConfig(epochs=20))
+
+    def _assert_arms_standalone(self, spec, data, settings):
+        report = one_step_estimate(spec, data, settings, folds=5, seed=4)
+        for value, arm in zip(spec.contrast, (report, report.contrast.other)):
+            alone = one_step_estimate(spec.instantiate(value), data, settings,
+                                      folds=5, seed=4)
+            assert arm.theta_hat == alone.theta_hat
+            assert arm.plug_in == alone.plug_in
+            assert np.array_equal(arm.eif_values, alone.eif_values)
+            assert arm.per_fold == alone.per_fold
+
+    def test_sieve_nde_arms_equal_standalone(self, appendix_data):
+        self._assert_arms_standalone(builtin_spec("nde"), appendix_data,
+                                     EstimatorSettings())
+
+    def test_mlp_nde_arms_equal_standalone(self, appendix_dgp):
+        self._assert_arms_standalone(builtin_spec("nde"), simulate(appendix_dgp, 300, 6),
+                                     self.MLP)
+
+    @pytest.mark.parametrize("settings", [EstimatorSettings(), MLP], ids=["sieve", "mlp"])
+    def test_outer_contrast_arms_equal_standalone(self, appendix_data, settings):
+        self._assert_arms_standalone(spec_from_document(OUTER_CONTRAST_DOC),
+                                     appendix_data, settings)
+
+    def test_nde_fit_counts(self, appendix_data, monkeypatch):
+        logistic = _count_calls(monkeypatch, nuisance, "fit_logistic")
+        one_step_estimate(builtin_spec("nde"), appendix_data, folds=5, seed=4)
+        assert len(logistic) == 5  # one outcome regression per fold, not per arm
+        mlp = _count_calls(monkeypatch, riesz, "fit_mlp")
+        one_step_estimate(builtin_spec("nde"), appendix_data, self.MLP, folds=5, seed=4)
+        assert len(mlp) == 15  # the stage-2 weight once, the stage-3 weight per arm
+
+    def test_single_estimand_fit_counts(self, discrete_data, monkeypatch):
+        calls = [_count_calls(monkeypatch, nuisance, "fit_logistic"),
+                 _count_calls(monkeypatch, nuisance, "fit_least_squares"),
+                 _count_calls(monkeypatch, riesz, "fit_sieve")]
+        one_step_estimate(builtin_spec("ate"), discrete_data, folds=5, seed=4)
+        assert [len(c) for c in calls] == [5, 5, 5]
+
+    def test_stage_weights_refuse_a_cache(self, discrete_data):
+        with pytest.raises(SchemaError, match="stage_weights"):
+            fit_sequential(builtin_spec("ate"), discrete_data,
+                           stage_weights={2: np.ones(discrete_data.n)}, cache={})
