@@ -61,7 +61,6 @@ from .riesz import (  # noqa: F401
     constant_one_fit,
     fit_mlp,
     fit_sequential,
-    fit_sequential_nde,
     fit_sieve,
     map_bound_probe,
     mlp_loss_gradients,
@@ -74,7 +73,6 @@ from .nuisance import (  # noqa: F401
     fit_least_squares,
     fit_logistic,
     fit_stage,
-    predict_mapped,
 )
 from .estimator import (  # noqa: F401
     EifTerm,

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import SingularGramError
+from .errors import RieszregError, SingularGramError
 
 CONDITION_WARN_THRESHOLD = 1e10
 
@@ -23,10 +23,14 @@ def solve_normal_equations(gram, rhs, ridge, what="Gram matrix"):
 
     Applies one iterative-refinement step so first-order conditions hold to
     near machine precision. Returns (x, condition_number); warns when the
-    regularized system is ill conditioned.
+    regularized system is ill conditioned, and refuses a non-finite one.
     """
     gram = np.asarray(gram, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        raise RieszregError(
+            f"{what} or its right-hand side is not finite; "
+            f"check map coefficients and weights for overflow")
     regularized = gram + ridge * np.eye(gram.shape[0])
     try:
         factor = cho_factor(regularized)

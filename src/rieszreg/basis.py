@@ -44,13 +44,6 @@ class Feature:
             out = out * (col if power == 1 else col ** power)
         return out
 
-    def to_dict(self) -> dict:
-        return {"columns": list(self.columns), "powers": list(self.powers)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Feature":
-        return Feature(tuple(d["columns"]), tuple(d["powers"]))
-
 
 INTERCEPT = Feature((), ())
 
@@ -80,13 +73,6 @@ class Basis:
         for j, feat in enumerate(self.features):
             out[:, j] = feat.evaluate(cols, n)
         return out
-
-    def to_dict(self) -> list[dict]:
-        return [f.to_dict() for f in self.features]
-
-    @staticmethod
-    def from_dict(entries: Iterable[dict]) -> "Basis":
-        return Basis(tuple(Feature.from_dict(e) for e in entries))
 
 
 def intercept_basis() -> Basis:

@@ -24,7 +24,6 @@ from .simulate import simulate, truth_oracle
 class BenchTask:
     dgp: object
     spec: EstimandSpec
-    method_label: str
     n: int
     replicates: int
     folds: int
@@ -81,7 +80,7 @@ def summarize(task: BenchTask, rows: list[dict], truth: float) -> dict:
     return {
         "dgp": task.dgp.label,
         "spec": task.spec.name,
-        "method": task.method_label,
+        "method": task.settings.riesz_method,
         "n": task.n,
         "replicates": task.replicates,
         "folds": task.folds,

@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--dgp", choices=sorted(DGPS), required=True)
     sim.add_argument("--dgp-params", help="JSON file overriding DGP parameters")
     sim.add_argument("--n", type=_positive_int, required=True)
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--seed", type=_nonnegative_int, required=True)
     sim.add_argument("--out", required=True)
     sim.add_argument("--schema-out", help="sidecar path (default: <out>.schema.json)")
     sim.set_defaults(handler=_cmd_simulate)
@@ -77,13 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--spec", required=True,
                      help=f"built-in name ({', '.join(BUILTIN_NAMES)}) or a document path")
     est.add_argument("--folds", type=_positive_int, default=5)
-    est.add_argument("--seed", type=int, required=True)
+    est.add_argument("--seed", type=_nonnegative_int, required=True)
     est.add_argument("--out", required=True)
     _add_method_flags(est)
     est.set_defaults(handler=_cmd_estimate)
 
     ver = sub.add_parser("verify", help="run the identity check suite")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_nonnegative_int, default=0)
     ver.add_argument("--check", action="append", choices=sorted(CHECKS),
                      help="run only the named check (repeatable)")
     ver.add_argument("--out", help="write the check report as JSON")
@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma list of sample sizes")
     ben.add_argument("--replicates", type=_positive_int, default=100)
     ben.add_argument("--folds", type=_positive_int, default=5)
-    ben.add_argument("--seed", type=int, required=True)
+    ben.add_argument("--seed", type=_nonnegative_int, required=True)
     # a string default goes through the type check, so a bad variable is a usage error
     ben.add_argument("--threads", type=_positive_int,
                      default=os.environ.get("RIESZREG_THREADS", "1"),
@@ -262,7 +262,7 @@ def _cmd_benchmark(args) -> int:
             if not dgp.has_mediator and "M" in {v for st in spec.stages for v in st.given}:
                 continue  # mediator estimands need a mediator DGP
             for n in args.n:
-                tasks.append(BenchTask(dgp, spec, args.method, n, args.replicates,
+                tasks.append(BenchTask(dgp, spec, n, args.replicates,
                                        args.folds, args.seed, settings))
     table = run_benchmark(tasks, threads=args.threads)
     out = _out_path(args.out)

@@ -212,8 +212,9 @@ def _parse_stage(raw, doc_index: int, contrast_allowed: bool) -> Stage:
             raise SpecValidationError(f"{tag} must be an object")
         _check_keys(tag, raw_term, required=("coef", "set"), optional=())
         coef = raw_term["coef"]
-        if not isinstance(coef, (int, float)) or isinstance(coef, bool) or coef == 0:
-            raise SpecValidationError(f"{tag}.coef must be a nonzero number")
+        if (not isinstance(coef, (int, float)) or isinstance(coef, bool)
+                or not 0 < abs(coef) <= np.finfo(np.float64).max):
+            raise SpecValidationError(f"{tag}.coef must be a nonzero finite number")
         assignments = []
         raw_set = raw_term["set"]
         if not isinstance(raw_set, dict):

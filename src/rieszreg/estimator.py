@@ -37,8 +37,8 @@ from .data import Dataset
 from .errors import DegenerateFoldError, NonFiniteEifError, RieszregError, SchemaError
 from .estimands import EstimandSpec, apply_map, validate_binding
 from .mlp import MlpConfig
-from .nuisance import fit_all_stages
-from .riesz import fit_sequential
+from .nuisance import NuisanceFit, fit_all_stages
+from .riesz import SieveRieszFit, fit_sequential
 from .simulate import substream
 
 
@@ -395,9 +395,9 @@ def verify_orthogonality(spec: EstimandSpec, data: Dataset, alphas, nuisances,
         alpha_fit = alphas[k - 1]
         q_fit = nuisances[k - 1]
         shared = (
-            getattr(alpha_fit, "kind", None) == "sieve"
-            and hasattr(q_fit, "basis")
-            and getattr(q_fit, "family", None) == "least_squares"
+            isinstance(alpha_fit, SieveRieszFit)
+            and isinstance(q_fit, NuisanceFit)
+            and q_fit.family == "least_squares"
             and alpha_fit.basis == q_fit.basis
             and alpha_fit.ridge == 0.0
             and q_fit.ridge == 0.0

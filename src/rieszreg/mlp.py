@@ -10,7 +10,7 @@ against central finite differences via ``numeric_gradient``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +38,6 @@ class MlpConfig:
             raise SchemaError("learning rate must be positive")
         if self.batch_size is not None and self.batch_size < 1:
             raise SchemaError("batch size must be positive when given")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def init_params(n_inputs: int, config: MlpConfig, rng: np.random.Generator):

@@ -49,24 +49,6 @@ class NuisanceFit:
         index = self.basis.design(cols) @ self.coef
         return expit(index) if self.family == "logistic" else index
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "nuisance",
-            "stage": self.stage,
-            "family": self.family,
-            "features": self.basis.to_dict(),
-            "coef": [float(c) for c in self.coef],
-            "ridge": self.ridge,
-            "gram_condition": self.gram_condition,
-            "newton_iterations": self.newton_iterations,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "NuisanceFit":
-        return NuisanceFit(d["stage"], d["family"], Basis.from_dict(d["features"]),
-                           np.asarray(d["coef"]), d["ridge"], d["gram_condition"],
-                           d.get("newton_iterations", 0))
-
 
 def fit_least_squares(basis: Basis, data, target: np.ndarray, ridge: float | None,
                       stage: int) -> NuisanceFit:
@@ -152,7 +134,7 @@ def fit_stage(spec: EstimandSpec, k: int, data: Dataset, prev: NuisanceFit | Non
     else:
         if prev is None:
             raise SchemaError(f"stage {k} needs the stage-{k + 1} fit to build its pseudo-outcome")
-        target = predict_mapped(prev, spec.stage(k + 1).fmap, data)
+        target = apply_map(spec.stage(k + 1).fmap, prev, data)
         if family is None:
             family = "least_squares"
     if family == "logistic":
@@ -187,8 +169,3 @@ def fit_all_stages(spec: EstimandSpec, data: Dataset, basis_policy: str = "defau
                                    degree=degree, ridge=ridge, family=family)
         prev = fits[k - 1] = cache[key]
     return fits
-
-
-def predict_mapped(fit, fmap: FunctionalMap, data) -> np.ndarray:
-    """Row-wise application of a map to a fitted function."""
-    return apply_map(fmap, fit, data)

@@ -24,7 +24,7 @@ from ._linalg import default_ridge, solve_normal_equations
 from .basis import Basis, make_basis
 from .data import Dataset, as_columns, constant_one
 from .errors import SchemaError, TrainingDivergedError
-from .estimands import EstimandSpec, FunctionalMap, apply_map, builtin_spec, term_columns
+from .estimands import EstimandSpec, FunctionalMap, apply_map, term_columns
 from .mlp import MlpConfig
 from .simulate import substream
 
@@ -51,25 +51,9 @@ class SieveRieszFit:
     ridge: float
     fitted_loss: float
     gram_condition: float
-    kind: str = "sieve"
 
     def __call__(self, cols) -> np.ndarray:
         return self.basis.design(cols) @ self.coef
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "features": self.basis.to_dict(),
-            "coef": [float(c) for c in self.coef],
-            "ridge": self.ridge,
-            "fitted_loss": self.fitted_loss,
-            "gram_condition": self.gram_condition,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SieveRieszFit":
-        return SieveRieszFit(Basis.from_dict(d["features"]), np.asarray(d["coef"]),
-                             d["ridge"], d["fitted_loss"], d["gram_condition"])
 
 
 @dataclass
@@ -81,27 +65,9 @@ class MlpRieszFit:
     config: MlpConfig
     fitted_loss: float
     loss_curve: np.ndarray
-    kind: str = "mlp"
 
     def __call__(self, cols) -> np.ndarray:
         return mlp_net.forward(self.params, _stack(cols, self.columns))
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "columns": list(self.columns),
-            "layers": [{"weights": w.tolist(), "bias": b.tolist()} for w, b in self.params],
-            "config": self.config.to_dict(),
-            "fitted_loss": self.fitted_loss,
-            "loss_curve": [float(v) for v in self.loss_curve],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "MlpRieszFit":
-        params = [(np.asarray(layer["weights"]), np.asarray(layer["bias"]))
-                  for layer in d["layers"]]
-        return MlpRieszFit(tuple(d["columns"]), params, MlpConfig(**d["config"]),
-                           d["fitted_loss"], np.asarray(d["loss_curve"]))
 
 
 @dataclass
@@ -109,22 +75,14 @@ class ClosedFormRieszFit:
     """A representer given by rule rather than fitted; e.g. the constant 1
     weight of a marginal outer stage, or an exact inverse-probability form."""
 
-    rule: str
     fn: object
-    kind: str = "closed_form"
 
     def __call__(self, cols) -> np.ndarray:
         return np.asarray(self.fn(cols), dtype=np.float64)
 
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "rule": self.rule}
-
 
 def constant_one_fit() -> ClosedFormRieszFit:
-    return ClosedFormRieszFit("constant_one", constant_one)
-
-
-RieszFit = SieveRieszFit | MlpRieszFit | ClosedFormRieszFit
+    return ClosedFormRieszFit(constant_one)
 
 
 # ---------------------------------------------------------------------------
@@ -315,24 +273,19 @@ def mlp_loss_gradients(fmap: FunctionalMap, data, config: MlpConfig, weights=Non
 def fit_sequential(spec: EstimandSpec, data: Dataset, method: str = "sieve",
                    basis_policy: str = "default", degree: int = 2,
                    ridge: float | None = None, mlp_config: MlpConfig | None = None,
-                   stage_weights=None, cache: dict | None = None) -> list:
+                   cache: dict | None = None) -> list:
     """Fit one representer per stage, outermost first.
 
     Stage k's loss weights are the fitted stage k-1 values (ones at k=1);
     marginal outer stages take the constant-1 weight without fitting.
-    ``stage_weights`` (a {k: array} mapping) overrides the weights fed into
-    specific stages, which is useful for diagnostics. ``cache``, shared by
-    calls on the same rows with the same settings, hands back a fit already
-    made for the same stage chain: stage k is keyed by its content and the
-    stage-(k-1) key. Overridden weights would make those keys lie, so the two
-    cannot be combined.
+    ``cache``, shared by calls on the same rows with the same settings, hands
+    back a fit already made for the same stage chain: stage k is keyed by its
+    content and the stage-(k-1) key.
     """
     if spec.is_contrast:
         raise SchemaError("instantiate contrast specs before fitting representers")
     if method not in ("sieve", "mlp"):
         raise SchemaError(f"unknown Riesz method {method!r}")
-    if stage_weights is not None and cache is not None:
-        raise SchemaError("stage_weights cannot be combined with a fit cache")
     if method == "mlp" and mlp_config is None:
         mlp_config = MlpConfig()
     cache = {} if cache is None else cache
@@ -341,8 +294,6 @@ def fit_sequential(spec: EstimandSpec, data: Dataset, method: str = "sieve",
     key = None
     for k in range(1, spec.depth + 1):
         stage = spec.stage(k)
-        if stage_weights is not None and k in stage_weights:
-            weights = np.asarray(stage_weights[k], dtype=np.float64)
         key = ("alpha", stage, key)
         if key in cache:
             fit = cache[key]
@@ -358,19 +309,9 @@ def fit_sequential(spec: EstimandSpec, data: Dataset, method: str = "sieve",
                           weights=weights, columns=stage.given)
         cache[key] = fit
         fits.append(fit)
-        weights = np.asarray(fit(data.columns), dtype=np.float64)
+        if k < spec.depth:  # only a later stage reads the weights
+            weights = np.asarray(fit(data.columns), dtype=np.float64)
     return fits
-
-
-def fit_sequential_nde(data: Dataset, a_prime: float, method: str = "sieve",
-                       **settings) -> tuple:
-    """Sequentially fit the two mediation representers for one arm: first the
-    control-conditioning weight over (A, W), then the mediator-shift weight
-    over (A, M, W) using the first fit as per-row loss weights. Returns
-    (stage-2 fit, stage-3 fit)."""
-    spec = builtin_spec("nde").instantiate(a_prime)
-    fits = fit_sequential(spec, data, method=method, **settings)
-    return fits[1], fits[2]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .estimands import builtin_spec
 from .estimator import assemble_eif, verify_orthogonality
 from .mlp import MlpConfig
 from .nuisance import fit_all_stages
-from .riesz import fit_sequential, mlp_loss_gradients, representation_residuals
+from .riesz import SieveRieszFit, fit_sequential, mlp_loss_gradients, representation_residuals
 from .simulate import AppendixDgp, DiscreteDgp, simulate, substream
 
 REPRESENTATION_TOL = 1e-10
@@ -72,7 +72,7 @@ def check_representation(seed: int = 0, flip_sign: bool = False) -> CheckResult:
         weights = np.ones(data.n)
         for k in range(1, spec.depth + 1):
             fit = fits[k - 1]
-            if getattr(fit, "kind", None) == "sieve":
+            if isinstance(fit, SieveRieszFit):
                 if flip_sign:
                     fit.coef = -fit.coef
                 residuals = representation_residuals(

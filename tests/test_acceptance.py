@@ -17,7 +17,7 @@ from rieszreg import (
     EstimatorSettings,
     builtin_spec,
     closed_form_representer,
-    fit_sequential_nde,
+    fit_sequential,
     one_step_estimate,
     simulate,
     truth_oracle,
@@ -178,14 +178,14 @@ def test_criterion_9_sequential_fit_convergence():
     dgp = AppendixDgp()
     eval_data = simulate(dgp, 4000, 777)
     target = closed_form_representer("nde", dgp)(eval_data.columns)
+    arms = [builtin_spec("nde").instantiate(a) for a in (1.0, 0.0)]
     discrepancy = {}
     for n in (1000, 4000, 16000):
         values = []
         for s in range(20):
             seed = replicate_seed(555 + s, n)
             data = simulate(dgp, n, seed)
-            _, arm1 = fit_sequential_nde(data, 1.0, ridge=0.0)
-            _, arm0 = fit_sequential_nde(data, 0.0, ridge=0.0)
+            arm1, arm0 = (fit_sequential(spec, data, ridge=0.0)[-1] for spec in arms)
             fitted = arm1(eval_data.columns) - arm0(eval_data.columns)
             values.append(float(np.mean((fitted - target) ** 2)))
         discrepancy[n] = float(np.mean(values))

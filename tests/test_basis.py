@@ -59,12 +59,6 @@ def test_feature_canonical_order():
     assert Feature(("W", "A"), (1, 2)).label == "A^2*W"
 
 
-def test_serialization_round_trip(appendix_data):
-    basis = default_basis(("A", "M", "W"), appendix_data, degree=2)
-    again = Basis.from_dict(basis.to_dict())
-    assert again == basis
-
-
 def test_ill_conditioned_system_warns():
     from rieszreg._linalg import default_ridge, solve_normal_equations
 

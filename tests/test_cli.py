@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rieszreg.cli import main
-from rieszreg.estimands import format_spec, parse_spec
+from rieszreg.estimands import builtin_spec, format_spec, parse_spec
 
 
 def run(*argv):
@@ -249,6 +249,15 @@ def _sidecar(tmp_path, text):
     return argv
 
 
+def _coef_spec(tmp_path, coef):
+    # the ate document with the coefficient of its inner map's treated term set to ``coef``
+    doc = json.loads(format_spec(builtin_spec("ate")))
+    doc["stages"][0]["map"][0]["coef"] = coef
+    path = tmp_path / "coef.json"
+    path.write_text(json.dumps(doc))
+    return _estimate(tmp_path, "--spec", str(path))
+
+
 def _benchmark(tmp_path, *flags):
     return ["benchmark", "--spec", "ate", "--replicates", "1", "--seed", "1",
             "--out", str(tmp_path / "t.csv"), *flags]
@@ -281,6 +290,14 @@ BAD_INPUTS = [
      "--mlp-lr"),
     ("negative mlp epochs", lambda t: _estimate(t, "--method", "mlp", "--mlp-epochs", "-3"),
      {}, 2, "--mlp-epochs"),
+    ("negative simulate seed", lambda t: ["simulate", "--dgp", "discrete", "--n", "10",
+                                          "--seed", "-1", "--out", str(t / "x.csv")],
+     {}, 2, "--seed"),
+    ("negative estimate seed", lambda t: _estimate(t, "--seed", "-1"), {}, 2, "--seed"),
+    ("negative verify seed", lambda t: ["verify", "--seed", "-1"], {}, 2, "--seed"),
+    ("negative benchmark seed", lambda t: _benchmark(t, "--seed", "-1"), {}, 2, "--seed"),
+    ("infinite coef", lambda t: _coef_spec(t, float("inf")), {}, 3, "coef"),
+    ("overflowing coef", lambda t: _coef_spec(t, 1e308), {}, 4, "not finite"),
 ]
 
 

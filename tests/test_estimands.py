@@ -111,6 +111,13 @@ class TestParsing:
         with pytest.raises(SpecValidationError, match="nonzero"):
             parse_spec(json.dumps(doc))
 
+    @pytest.mark.parametrize("coef", [float("nan"), float("inf")])
+    def test_non_finite_coefficient_rejected(self, coef):
+        doc = json.loads(ATE_DOC)
+        doc["stages"][0]["map"][0]["coef"] = coef  # dumped as NaN / Infinity
+        with pytest.raises(SpecValidationError, match="finite"):
+            parse_spec(json.dumps(doc))
+
     def test_inner_stage_must_regress_outcome(self):
         doc = json.loads(ATE_DOC)
         doc["stages"][0]["regress"] = "prev"

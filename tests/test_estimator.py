@@ -370,8 +370,3 @@ class TestArmSharing:
                  _count_calls(monkeypatch, riesz, "fit_sieve")]
         one_step_estimate(builtin_spec("ate"), discrete_data, folds=5, seed=4)
         assert [len(c) for c in calls] == [5, 5, 5]
-
-    def test_stage_weights_refuse_a_cache(self, discrete_data):
-        with pytest.raises(SchemaError, match="stage_weights"):
-            fit_sequential(builtin_spec("ate"), discrete_data,
-                           stage_weights={2: np.ones(discrete_data.n)}, cache={})

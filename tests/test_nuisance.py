@@ -10,13 +10,13 @@ from rieszreg import (
     Feature,
     NonConvergenceError,
     SchemaError,
+    apply_map,
     builtin_spec,
     default_basis,
     fit_all_stages,
     fit_logistic,
     fit_stage,
     one_step_estimate,
-    predict_mapped,
     simulate,
     substream,
 )
@@ -96,7 +96,7 @@ class TestStageFitting:
         fit = fit_stage(spec, 1, discrete_data, basis_policy="saturated",
                         ridge=0.0, family="least_squares")
         a, y = discrete_data.column("A"), discrete_data.column("Y")
-        predicted = predict_mapped(fit, spec.stage(1).fmap, discrete_data)
+        predicted = apply_map(spec.stage(1).fmap, fit, discrete_data)
         np.testing.assert_allclose(predicted, y[a == 1.0].mean(), atol=1e-10)
 
     def test_constant_previous_stage_zeroes_difference_pseudo_outcome(self,
@@ -120,8 +120,6 @@ class TestStageFitting:
         spec = builtin_spec("nde").instantiate(1.0)
         fits = fit_all_stages(spec, appendix_data, ridge=0.0,
                               outcome_family="least_squares")
-        from rieszreg import apply_map, default_basis
-
         basis = default_basis(("A", "M", "W"), appendix_data, degree=2)
         residual = appendix_data.column("Y") - fits[2](appendix_data.columns)
         gaps = basis.design(appendix_data).T @ residual / appendix_data.n
@@ -139,7 +137,7 @@ class TestPlugInConsistency:
         spec = builtin_spec("ate")
         fits = fit_all_stages(spec, discrete_data, basis_policy="saturated",
                               ridge=0.0, outcome_family="least_squares")
-        plug = predict_mapped(fits[0], spec.stage(1).fmap, discrete_data).mean()
+        plug = apply_map(spec.stage(1).fmap, fits[0], discrete_data).mean()
         a, w, y = (discrete_data.column(c) for c in ("A", "W", "Y"))
         enumeration = sum(
             np.mean(w == wv) * (y[(a == 1) & (w == wv)].mean()
@@ -151,7 +149,7 @@ class TestPlugInConsistency:
         spec = builtin_spec("att_control_mean")
         fits = fit_all_stages(spec, discrete_data, basis_policy="saturated",
                               ridge=0.0, outcome_family="least_squares")
-        value = predict_mapped(fits[0], spec.stage(1).fmap, discrete_data).mean()
+        value = apply_map(spec.stage(1).fmap, fits[0], discrete_data).mean()
         a, w, y = (discrete_data.column(c) for c in ("A", "W", "Y"))
         enumeration = sum(
             np.mean((w == wv) & (a == 1)) / a.mean() * y[(a == 0) & (w == wv)].mean()
@@ -160,28 +158,20 @@ class TestPlugInConsistency:
 
 
 class TestPredictMapped:
+    """A map applied row by row to a fitted function."""
+
     def test_difference_map_on_treatment_identity(self, discrete_data):
         fit = lambda cols: cols["A"]
         fmap = builtin_spec("ate").stage(2).fmap
-        np.testing.assert_allclose(predict_mapped(fit, fmap, discrete_data), 1.0)
+        np.testing.assert_allclose(apply_map(fmap, fit, discrete_data), 1.0)
 
     def test_arm_evaluation_map(self, appendix_data):
         spec = builtin_spec("nde").instantiate(1.0)
         fit = lambda cols: cols["A"] * 10 + cols["M"]
-        got = predict_mapped(fit, spec.stage(3).fmap, appendix_data)
+        got = apply_map(spec.stage(3).fmap, fit, appendix_data)
         np.testing.assert_allclose(got, 10 + appendix_data.column("M"))
 
     def test_untouched_variable_passes_through(self, discrete_data):
         fmap = builtin_spec("att_control_mean").stage(2).fmap
-        got = predict_mapped(lambda cols: cols["W"], fmap, discrete_data)
+        got = apply_map(fmap, lambda cols: cols["W"], discrete_data)
         np.testing.assert_allclose(got, discrete_data.column("W"))
-
-
-def test_serialization_round_trip(discrete_data):
-    from rieszreg import NuisanceFit
-
-    fits = fit_all_stages(builtin_spec("ate"), discrete_data,
-                          basis_policy="saturated")
-    again = NuisanceFit.from_dict(fits[1].to_dict())
-    np.testing.assert_allclose(again(discrete_data.columns),
-                               fits[1](discrete_data.columns))

@@ -20,6 +20,7 @@ from rieszreg import (
 )
 from rieszreg.basis import make_basis
 from rieszreg.nuisance import fit_least_squares
+from rieszreg.riesz import SieveRieszFit
 
 # derandomized, so every run checks the same examples
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
@@ -52,7 +53,7 @@ def test_ridge_zero_representation_residuals_vanish(dgp, seed):
         fits = fit_sequential(spec, data, ridge=0.0)
         weights = np.ones(data.n)
         for k, fit in enumerate(fits, start=1):
-            if fit.kind == "sieve":
+            if isinstance(fit, SieveRieszFit):
                 residuals = representation_residuals(fit, spec.stage(k).fmap, data,
                                                      weights=weights)
                 assert np.max(np.abs(residuals)) <= 1e-10

@@ -9,7 +9,6 @@ from rieszreg import (
     builtin_spec,
     closed_form_representer,
     fit_sequential,
-    fit_sequential_nde,
     fit_sieve,
     map_bound_probe,
     representation_residuals,
@@ -20,7 +19,7 @@ from rieszreg import (
     truth_oracle,
 )
 from rieszreg.basis import intercept_basis
-from rieszreg.riesz import MlpRieszFit, SieveRieszFit
+from rieszreg.riesz import MlpRieszFit
 from conftest import mc_se
 
 
@@ -144,13 +143,6 @@ class TestSieve:
                                 appendix_data)
         assert np.isfinite(bound) and bound > 0
 
-    def test_serialization_round_trip(self, discrete_data):
-        fmap = builtin_spec("ate").stage(2).fmap
-        fit = fit_sieve(fmap, discrete_data, saturated_basis(("A", "W"), discrete_data))
-        again = SieveRieszFit.from_dict(fit.to_dict())
-        np.testing.assert_allclose(again(discrete_data.columns),
-                                   fit(discrete_data.columns))
-
 
 class TestSequential:
     def test_marginal_stage_weight_is_exactly_one(self, discrete_data):
@@ -160,7 +152,7 @@ class TestSequential:
 
     def test_control_stage_weight_target(self, appendix_dgp):
         data = simulate(appendix_dgp, 20000, 13)
-        alpha2, _ = fit_sequential_nde(data, 1.0, ridge=0.0)
+        _, alpha2, _ = fit_sequential(builtin_spec("nde").instantiate(1.0), data, ridge=0.0)
         a, w = data.column("A"), data.column("W")
         control_share = np.where(w == 1.0, (1 - a)[w == 1.0].mean(),
                                  (1 - a)[w == 0.0].mean())
@@ -171,10 +163,10 @@ class TestSequential:
         assert np.mean((alpha2(data.columns) - target) ** 2) < 1e-3
 
     def test_zero_weights_zero_fit(self, appendix_data):
-        spec = builtin_spec("nde").instantiate(1.0)
-        fits = fit_sequential(spec, appendix_data, ridge=1e-6,
-                              stage_weights={3: np.zeros(appendix_data.n)})
-        np.testing.assert_allclose(fits[2](appendix_data.columns), 0.0, atol=1e-12)
+        fmap = builtin_spec("nde").instantiate(1.0).stage(3).fmap
+        fit = fit_sieve(fmap, appendix_data, _rich_basis(appendix_data), ridge=1e-6,
+                        weights=np.zeros(appendix_data.n))
+        np.testing.assert_allclose(fit(appendix_data.columns), 0.0, atol=1e-12)
 
     def test_arm_discrepancy_shrinks_with_n(self, appendix_dgp):
         eval_data = simulate(appendix_dgp, 4000, 900)
@@ -182,8 +174,8 @@ class TestSequential:
             eval_data.columns)
         msd = []
         for n in (1000, 16000):
-            _, alpha3 = fit_sequential_nde(simulate(appendix_dgp, n, 901), 1.0,
-                                           ridge=0.0)
+            _, _, alpha3 = fit_sequential(builtin_spec("nde").instantiate(1.0),
+                                          simulate(appendix_dgp, n, 901), ridge=0.0)
             msd.append(np.mean((alpha3(eval_data.columns) - target) ** 2))
         assert msd[1] < msd[0]
 
@@ -211,15 +203,6 @@ class TestMlpRiesz:
                               mlp_config=MlpConfig(epochs=5, seed=1))
         assert isinstance(fits[2], MlpRieszFit)
         assert fits[2].loss_curve.shape == (6,)
-
-    def test_serialization_round_trip(self, appendix_data):
-        from rieszreg import fit_mlp
-        spec = builtin_spec("nde").instantiate(1.0)
-        fit = fit_mlp(spec.stage(3).fmap, appendix_data, MlpConfig(epochs=3, seed=2),
-                      columns=spec.stage(3).given)
-        again = MlpRieszFit.from_dict(fit.to_dict())
-        np.testing.assert_allclose(again(appendix_data.columns),
-                                   fit(appendix_data.columns))
 
 
 def _rich_basis(data):
