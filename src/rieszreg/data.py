@@ -36,11 +36,62 @@ def as_columns(data) -> tuple[dict, int]:
     return cols, lengths.pop()
 
 
+# Rows (CSV) or array items (JSON) formatted and written per chunk, so a
+# writer never holds a whole file's text.
+CHUNK = 65536
+# Stands for a spliced array in the encoded skeleton of a JSON file.
+_SLOT = "\x00rieszreg:array\x00"
+
+
 def write_json(path, payload) -> None:
-    """The one JSON file layout: UTF-8, two-space indent, LF, final newline."""
+    """The one JSON file layout: UTF-8, two-space indent, LF, final newline;
+    byte-identical to ``json.dump(payload, fh, indent=2)`` plus a newline.
+
+    ``json.dump`` with an indent runs the pure-Python encoder on every item.
+    Here only the skeleton does: each nonempty array of numbers is swapped
+    for a slot, and its items are encoded by the C encoder chunk by chunk
+    and written where the slot stood."""
+    arrays = []
+    slot = json.dumps(_SLOT)
+    parts = json.dumps(_hollow(payload, arrays, 0), indent=2).split(slot)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2)
+        fh.write(parts[0])
+        for (values, depth), text in zip(arrays, parts[1:]):
+            if values is None:  # the payload's own copy of the slot string
+                fh.write(slot)
+            else:
+                indent = "\n" + "  " * (depth + 1)
+                fh.write("[" + indent)
+                for start in range(0, len(values), CHUNK):
+                    if start:
+                        fh.write("," + indent)
+                    fh.write(json.dumps(values[start:start + CHUNK])[1:-1]
+                             .replace(", ", "," + indent))
+                fh.write("\n" + "  " * depth + "]")
+            fh.write(text)
         fh.write("\n")
+
+
+def _hollow(value, arrays: list, depth: int):
+    """``value`` with each nonempty list or tuple of numbers replaced by the
+    slot and appended to ``arrays`` with its nesting depth, in the order the
+    encoder writes them. A key or string equal to the slot is appended as
+    None, so that every slot in the skeleton has its entry."""
+    if isinstance(value, dict):
+        hollow = {}
+        for key, item in value.items():
+            if key == _SLOT:
+                arrays.append((None, depth))
+            hollow[key] = _hollow(item, arrays, depth + 1)
+        return hollow
+    if isinstance(value, (list, tuple)):
+        if value and all(isinstance(item, (int, float)) for item in value):
+            arrays.append((value, depth))
+            return _SLOT
+        return [_hollow(item, arrays, depth + 1) for item in value]
+    if isinstance(value, str) and value == _SLOT:
+        arrays.append((None, depth))
+    return value
 
 
 def constant_one(cols) -> np.ndarray:
@@ -145,18 +196,12 @@ class Dataset:
     def to_csv(self, path, schema_path=None) -> None:
         """Write rows as CSV (comma, '.' decimal, header, LF, UTF-8) plus a
         JSON schema sidecar (default: path with a .schema.json suffix)."""
-        names = [c.name for c in self.schema]
-        arrays = [self.columns[c.name] for c in self.schema]
-        discrete = [c.is_discrete for c in self.schema]
-        lines = [",".join(names)]
-        for i in range(self.n):
-            cells = []
-            for arr, disc in zip(arrays, discrete):
-                v = arr[i]
-                cells.append(str(int(v)) if disc else repr(float(v)))
-            lines.append(",".join(cells))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(",".join(c.name for c in self.schema) + "\n")
+            for start in range(0, self.n, CHUNK):
+                cells = [_cells(col, self.columns[col.name][start:start + CHUNK])
+                         for col in self.schema]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
         write_json(self._sidecar(path, schema_path), self.schema_dict())
 
     def schema_dict(self) -> dict:
@@ -205,6 +250,17 @@ class Dataset:
         for col in self.schema:
             h.update(np.ascontiguousarray(self.columns[col.name]).tobytes())
         return h.hexdigest()
+
+
+def _cells(col: Column, values: np.ndarray):
+    """CSV text of one column's values, the shortest round-tripping float for
+    a real column. A discrete cell is written as the text of its level: an
+    integer when every level of the column is integral, else a float."""
+    if col.is_discrete:
+        integral = all(level.is_integer() for level in col.levels)
+        text = {level: str(int(level)) if integral else repr(level) for level in col.levels}
+        return map(text.__getitem__, values.tolist())
+    return map(float.__repr__, values.tolist())
 
 
 def _bad_cell(path, names) -> SchemaError:

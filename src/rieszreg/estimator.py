@@ -28,9 +28,9 @@ the outcome regression and the stage-2 weight.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from . import __version__
 from .data import Dataset
@@ -327,7 +327,7 @@ def _estimate_concrete(spec: EstimandSpec, data: Dataset, settings: EstimatorSet
 
 
 def _interval(center: float, se: float, level: float) -> ConfidenceInterval:
-    z = float(norm.ppf(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     return ConfidenceInterval(center - z * se, center + z * se, level)
 
 

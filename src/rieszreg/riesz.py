@@ -118,7 +118,9 @@ def _sieve_system(basis: Basis, fmap: FunctionalMap, data, weights):
     rhs = np.zeros(basis.dim)
     for term, (coef, overridden) in zip(fmap.terms, term_columns(fmap, cols, n, schema)):
         term_design = basis.design(overridden) if term.assignments else design
-        rhs += coef * (term_design.T @ weights)
+        # an overflow leaves rhs non-finite, which solve_normal_equations refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            rhs += coef * (term_design.T @ weights)
     return design, design.T @ design / n, rhs / n
 
 

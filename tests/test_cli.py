@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rieszreg
 from rieszreg.cli import main
 from rieszreg.estimands import builtin_spec, format_spec, parse_spec
 
@@ -308,6 +314,20 @@ def test_bad_input_exit_codes(argv, env, code, says, tmp_path, monkeypatch, caps
         monkeypatch.setenv(key, value)
     args = argv(tmp_path)
     capsys.readouterr()
-    assert _exit_code(args) == code
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _exit_code(args) == code
     err = capsys.readouterr().err
     assert says in err and "Traceback" not in err, err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes longer to import than the rest of the CLI together
+    src = str(Path(rieszreg.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, rieszreg.cli; print(rieszreg.__file__, 'scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == [rieszreg.__file__, "False"]

@@ -1,5 +1,11 @@
 """Property-based checks of the finite-sample identities on random DGP
-parameters (inside positivity) and random linear maps."""
+parameters (inside positivity) and random linear maps, of the file writers
+against their reference encodings, and of the estimand document round trip."""
+
+import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,6 +13,8 @@ from hypothesis import strategies as st
 
 from rieszreg import (
     AppendixDgp,
+    Column,
+    Dataset,
     DiscreteDgp,
     EstimatorSettings,
     FunctionalMap,
@@ -14,10 +22,13 @@ from rieszreg import (
     apply_map,
     builtin_spec,
     fit_sequential,
+    format_spec,
     one_step_estimate,
+    parse_spec,
     representation_residuals,
     simulate,
 )
+from rieszreg import data as data_module
 from rieszreg.basis import make_basis
 from rieszreg.nuisance import fit_least_squares
 from rieszreg.riesz import SieveRieszFit
@@ -113,3 +124,114 @@ def test_apply_map_is_linear(terms, f_coef, g_coef, alpha, beta, seed):
     single = apply_map(fmap, lambda c: alpha * f(c) + beta * g(c), row)
     assert isinstance(single, float)
     np.testing.assert_allclose(single, combined[2], rtol=1e-12, atol=1e-12)
+
+
+special_floats = st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324])
+numbers = st.one_of(st.floats(), st.integers(), special_floats)
+# the writer's slot string may appear in a payload as a key or a value
+texts = st.text() | st.just(data_module._SLOT)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), texts, numbers, st.lists(numbers)),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(texts, children, max_size=4),
+    max_leaves=20)
+
+
+def _written(write) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out"
+        write(path)
+        return path.read_bytes()
+
+
+@PROPERTY_SETTINGS
+@given(payload=json_values, chunk=st.integers(1, 4))
+def test_write_json_matches_indented_dump(payload, chunk):
+    with mock.patch.object(data_module, "CHUNK", chunk):
+        written = _written(lambda path: data_module.write_json(path, payload))
+    assert written == (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def _per_cell_csv(data) -> bytes:
+    # reference writer: one cell at a time
+    lines = [",".join(col.name for col in data.schema)]
+    for i in range(data.n):
+        cells = []
+        for col in data.schema:
+            v = float(data.column(col.name)[i])
+            if col.is_discrete:  # written as the text of the level equal to v
+                v = next(level for level in col.levels if level == v)
+                if all(level.is_integer() for level in col.levels):
+                    v = int(v)
+            cells.append(repr(v))
+        lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+reals = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                  st.sampled_from([-0.0, 5e-324, 1e300]))
+integer_levels = st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=4, unique=True)
+real_levels = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=4, unique=True)
+
+
+@PROPERTY_SETTINGS
+@given(draw=st.data(), n=st.integers(1, 12), chunk=st.integers(1, 5))
+def test_to_csv_matches_per_cell_writer(draw, n, chunk):
+    schema = (Column("A", "treatment", "binary"),
+              Column("G", "covariate", "categorical", tuple(draw.draw(integer_levels))),
+              Column("H", "covariate", "categorical", tuple(draw.draw(real_levels))),
+              Column("Y", "outcome", "real"))
+    cols = {"A": draw.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)),
+            "Y": draw.draw(st.lists(reals, min_size=n, max_size=n))}
+    for col in schema[1:3]:
+        cols[col.name] = draw.draw(st.lists(st.sampled_from(col.levels), min_size=n, max_size=n))
+    data = Dataset(schema, cols)
+    with mock.patch.object(data_module, "CHUNK", chunk):
+        written = _written(data.to_csv)
+    assert written == _per_cell_csv(data)
+
+
+COLUMNS = ("W", "A", "M", "X")
+coefs = st.floats(-1e6, 1e6).filter(lambda c: c != 0)
+assigned_values = st.one_of(st.integers(-3, 3), st.floats(-3, 3))
+
+
+def _subsets(items):
+    return st.lists(st.sampled_from(items), unique=True) if items else st.just([])
+
+
+@st.composite
+def estimand_documents(draw):
+    """Valid documents: every assigned variable is in the innermost stage's
+    conditioning set, and every outermost term assigns all its variables."""
+    depth = draw(st.integers(1, 3))
+    inner = draw(st.lists(st.sampled_from(COLUMNS), min_size=1, unique=True))
+    stages = []
+    for index in range(depth):
+        given = inner if index == 0 else draw(_subsets(inner))
+        outermost = index == depth - 1
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            names = given if outermost else draw(_subsets(given))
+            terms.append({"coef": draw(coefs),
+                          "set": {name: draw(assigned_values) for name in names}})
+        stage = {"regress": "Y" if index == 0 else "prev", "given": given}
+        where = draw(_subsets(given))
+        if where:
+            stage["where"] = {name: draw(assigned_values) for name in where}
+        stage["map"] = terms
+        stages.append(stage)
+    doc = {"name": draw(st.text(min_size=1)), "stages": stages}
+    slots = [term["set"] for stage in stages for term in stage["map"] if term["set"]]
+    if slots and draw(st.booleans()):
+        doc["contrast"] = [draw(assigned_values), draw(assigned_values)]
+        first = slots[draw(st.integers(0, len(slots) - 1))]
+        first[next(iter(first))] = "a'"
+    return doc
+
+
+@PROPERTY_SETTINGS
+@given(doc=estimand_documents())
+def test_format_parse_format_is_identity(doc):
+    text = format_spec(parse_spec(json.dumps(doc)))
+    assert format_spec(parse_spec(text)) == text

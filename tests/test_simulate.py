@@ -79,6 +79,18 @@ class TestSampling:
             np.testing.assert_array_equal(back.column(name), data.column(name))
         assert back.sha256() == data.sha256()
 
+    def test_csv_round_trip_of_non_integer_levels(self, tmp_path):
+        schema = (Column("W", "covariate", "categorical", (0.5, 1.5)),
+                  Column("G", "covariate", "categorical", (-1, 0, 2)),
+                  Column("A", "treatment", "binary"), Column("Y", "outcome", "real"))
+        data = Dataset(schema, {"W": [1.5, 0.5, 1.5], "G": [2.0, -1.0, 0.0],
+                                "A": [1.0, 0.0, 0.0], "Y": [0.25, -3.0, 1e-300]})
+        path = tmp_path / "d.csv"
+        data.to_csv(path)
+        assert path.read_text().splitlines() == [
+            "W,G,A,Y", "1.5,2,1,0.25", "0.5,-1,0,-3.0", "1.5,0,0,1e-300"]
+        assert Dataset.from_csv(path).sha256() == data.sha256()
+
 
 class TestTruthOracle:
     def test_linear_shift_of_outcome_means(self):
