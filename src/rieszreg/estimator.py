@@ -33,11 +33,12 @@ from statistics import NormalDist
 import numpy as np
 
 from . import __version__
+from .basis import FoldDesigns
 from .data import Dataset
 from .errors import DegenerateFoldError, NonFiniteEifError, RieszregError, SchemaError
 from .estimands import EstimandSpec, apply_map, validate_binding
 from .mlp import MlpConfig
-from .nuisance import NuisanceFit, fit_all_stages
+from .nuisance import NuisanceFit, fit_folds
 from .riesz import SieveRieszFit, fit_sequential
 from .simulate import substream
 
@@ -100,7 +101,7 @@ class ContrastBlock:
             "difference": self.difference,
             "std_error": self.std_error,
             "ci": self.ci.to_dict(),
-            "eif_values": [float(v) for v in self.eif_values],
+            "eif_values": self.eif_values.tolist(),
         }
 
 
@@ -139,7 +140,7 @@ class EstimateReport:
             "n": self.n,
             "folds": self.folds,
             "seed": self.seed,
-            "eif_values": [float(v) for v in self.eif_values],
+            "eif_values": self.eif_values.tolist(),
             "per_fold": self.per_fold,
             "diagnostics": self.diagnostics,
             "contrast": self.contrast.to_dict() if self.contrast is not None else None,
@@ -177,39 +178,35 @@ class _StageValues:
 
 def _stage_values(spec: EstimandSpec, alphas, nuisances, data: Dataset,
                   clip: float | None = None) -> _StageValues:
+    """Stage values of fits given as callables, evaluated on ``data``."""
     depth = spec.depth
     if len(alphas) != depth or len(nuisances) != depth:
         raise SchemaError(
             f"stage-count mismatch: spec has {depth} stages, got {len(alphas)} "
             f"weights and {len(nuisances)} regressions")
     cols = data.columns
-    outcome = data.column(data.outcome.name)
+    # mapped[k] = m_{k+1}(x; Q_{k+1}) for k = 0..K, with y at the boundary
+    mapped = [apply_map(spec.stage(k + 1).fmap, nuisances[k], data) for k in range(depth)]
+    return _parts([np.asarray(fit(cols), dtype=np.float64) for fit in alphas],
+                  [np.asarray(fit(cols), dtype=np.float64) for fit in nuisances[1:]],
+                  mapped + [data.column(data.outcome.name)], clip)
 
+
+def _parts(alphas, regressions, mapped, clip: float | None) -> _StageValues:
+    """D_k = a_k * (m_{k+1}(x; Q_{k+1}) - Q_k(x)) for k = 2..K from per-row
+    weights a_1..a_K, regressions Q_2..Q_K and maps mapped[0..K]."""
     clipped = 0
-    alpha_values = []
-    for fit in alphas:
-        values = np.asarray(fit(cols), dtype=np.float64)
-        if clip is not None:
-            clipped += int(np.count_nonzero(np.abs(values) > clip))
-            values = np.clip(values, -clip, clip)
-        alpha_values.append(values)
-
-    # mapped[k] = m_{k+1}(x; Q_{k+1}) for k = 1..K, with y at the boundary
-    mapped = {depth: outcome}
-    for k in range(1, depth):
-        mapped[k] = apply_map(spec.stage(k + 1).fmap, nuisances[k], data)
-
+    if clip is not None:
+        clipped = sum(int(np.count_nonzero(np.abs(values) > clip)) for values in alphas)
+        alphas = [np.clip(values, -clip, clip) for values in alphas]
     tail = []
-    for k in range(2, depth + 1):
-        q_k = np.asarray(nuisances[k - 1](cols), dtype=np.float64)
+    for k, q_k in enumerate(regressions, start=2):
         # non-finite products are caught by the guard below, not warned about
         with np.errstate(invalid="ignore", over="ignore"):
-            values = alpha_values[k - 1] * (mapped[k] - q_k)
+            values = alphas[k - 1] * (mapped[k] - q_k)
         _require_finite(values, k)
         tail.append((k, values))
-
-    plug_values = apply_map(spec.stage(1).fmap, nuisances[0], data)
-    return _StageValues(tail, alpha_values[0], mapped[1], plug_values, clipped)
+    return _StageValues(tail, alphas[0], mapped[1], mapped[0], clipped)
 
 
 def _require_finite(values: np.ndarray, k: int) -> None:
@@ -234,30 +231,32 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
     and evaluated in-fold; folds=1 fits and evaluates in-sample (diagnostic
     mode). Contrast specs estimate both arms on the same fold assignment and
     report the difference with its own influence-based standard error.
+
+    The rows are sorted by fold once, so each fold is one block of a
+    ``FoldDesigns``: each design is evaluated once per estimate, fits read
+    summed fold blocks, and held-out values are slices of the held designs.
     """
     settings = settings if settings is not None else EstimatorSettings()
     validate_binding(spec, data)
-    fold_ids = _assign_folds(data.n, folds, seed, settings.min_rows_per_fold)
-    _check_fold_levels(spec, data, fold_ids, folds)
-    caches = [{} for _ in range(folds)]  # fitted models per fold, shared by the arms
-
-    if spec.is_contrast:
-        hi, lo = spec.contrast
-        report_hi = _estimate_concrete(spec.instantiate(hi), data, settings, fold_ids,
-                                       folds, seed, f"{spec.name}[a'={hi:g}]", caches)
-        report_lo = _estimate_concrete(spec.instantiate(lo), data, settings, fold_ids,
-                                       folds, seed, f"{spec.name}[a'={lo:g}]", caches)
-        eif_diff = report_hi.eif_values - report_lo.eif_values
-        difference = report_hi.theta_hat - report_lo.theta_hat
+    order, bounds = _fold_order(spec, data, folds, seed, settings.min_rows_per_fold)
+    designs = FoldDesigns(data.subset(order), bounds)
+    caches = [{} for _ in range(folds + 1)]  # Riesz fits per fold, then the regressions
+    arms = ([(spec.instantiate(value), f"{spec.name}[a'={value:g}]")
+             for value in spec.contrast] if spec.is_contrast else [(spec, spec.name)])
+    policies = [settings.nuisance_basis]
+    if settings.riesz_method == "sieve":
+        policies.append(settings.riesz_basis)
+    designs.hold_shared([arm for arm, _ in arms], policies, settings.degree)
+    report, *others = [_estimate_concrete(arm, data, designs, order, settings, seed, name,
+                                          caches) for arm, name in arms]
+    if others:
+        eif_diff = report.eif_values - others[0].eif_values
+        difference = report.theta_hat - others[0].theta_hat
         se = float(np.std(eif_diff, ddof=1) / np.sqrt(data.n))
-        report = report_hi
         report.name = spec.name
-        report.contrast = ContrastBlock(report_lo, difference, se,
+        report.contrast = ContrastBlock(others[0], difference, se,
                                         _interval(difference, se, settings.level),
                                         eif_diff)
-    else:
-        report = _estimate_concrete(spec, data, settings, fold_ids, folds, seed,
-                                    spec.name, caches)
     report.provenance = {
         "spec_sha256": spec.sha256(),
         "data_sha256": data.sha256(),
@@ -269,54 +268,50 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
     return report
 
 
-def _estimate_concrete(spec: EstimandSpec, data: Dataset, settings: EstimatorSettings,
-                       fold_ids: np.ndarray, folds: int, seed: int,
+def _estimate_concrete(spec: EstimandSpec, data: Dataset, designs: FoldDesigns,
+                       order: np.ndarray, settings: EstimatorSettings, seed: int,
                        name: str, caches: list) -> EstimateReport:
-    n = data.n
-
-    tail_sum = np.zeros(n)
-    alpha1 = np.zeros(n)
-    next_mapped = np.zeros(n)
-    plug_values = np.zeros(n)
+    n, folds = data.n, designs.folds
+    nuisances, mapped = fit_folds(
+        spec, designs, basis_policy=settings.nuisance_basis, degree=settings.degree,
+        ridge=settings.ridge, outcome_family=settings.outcome_family, cache=caches[folds])
+    plug_in = float(np.mean(mapped[0]))
+    eif_values = np.empty(n)
     per_fold = []
     clipped = 0
 
     for v in range(folds):
-        test_idx = np.flatnonzero(fold_ids == v)
-        train_idx = np.flatnonzero(fold_ids != v) if folds > 1 else test_idx
-        train = data.subset(train_idx)
-        test = data.subset(test_idx)
-
-        nuisances = fit_all_stages(
-            spec, train, basis_policy=settings.nuisance_basis, degree=settings.degree,
-            ridge=settings.ridge, outcome_family=settings.outcome_family, cache=caches[v])
+        rows = designs.block(v)
+        if settings.riesz_method == "mlp":  # networks train on rows in their original order
+            train = data.subset(np.sort(np.delete(order, rows)) if folds > 1 else order)
+        else:
+            train = designs.fold(v)
         alphas = fit_sequential(
             spec, train, method=settings.riesz_method, basis_policy=settings.riesz_basis,
             degree=settings.degree, ridge=settings.ridge, mlp_config=settings.mlp,
             cache=caches[v])
 
-        parts = _stage_values(spec, alphas, nuisances, test, clip=settings.clip)
+        weights = [_held_out(fit, designs, rows) for fit in alphas]
+        regressions = [_held_out(stage[v], designs, rows) for stage in nuisances[1:]]
+        parts = _parts(weights, regressions, [m[rows] for m in mapped], settings.clip)
         clipped += parts.clipped
 
         raw_mean = float(np.mean(parts.alpha1))
         if abs(raw_mean) < 1e-12:
             raise RieszregError(
                 f"outermost weight averages to ~0 in fold {v}; cannot solve for the estimate")
-        alpha1[test_idx] = parts.alpha1 / raw_mean
-        tail_sum[test_idx] = sum(values for _, values in parts.tail) if parts.tail else 0.0
-        next_mapped[test_idx] = parts.next_mapped
-        plug_values[test_idx] = parts.plug_values
+        tail_sum = sum(values for _, values in parts.tail) if parts.tail else 0.0
+        alpha1 = parts.alpha1 / raw_mean
+        eif_values[order[rows]] = tail_sum + alpha1 * (parts.next_mapped - plug_in)
         per_fold.append({
             "fold": v,
-            "n_eval": int(test_idx.size),
-            "n_train": int(train.n),
+            "n_eval": rows.stop - rows.start,
+            "n_train": designs.fold(v).n_train,
             "plug_in": float(np.mean(parts.plug_values)),
             "alpha1_mean_raw": raw_mean,
             "riesz_fitted_loss": [getattr(a, "fitted_loss", None) for a in alphas],
         })
 
-    plug_in = float(np.mean(plug_values))
-    eif_values = tail_sum + alpha1 * (next_mapped - plug_in)
     _require_finite(eif_values, 1)
     theta_hat = plug_in + float(np.mean(eif_values))
     se = float(np.std(eif_values, ddof=1) / np.sqrt(n))
@@ -326,12 +321,25 @@ def _estimate_concrete(spec: EstimandSpec, data: Dataset, settings: EstimatorSet
         seed=seed, per_fold=per_fold, diagnostics={"clipped_weights": clipped})
 
 
+def _held_out(fit, designs: FoldDesigns, rows: slice) -> np.ndarray:
+    """A fit's values on one fold block: a slice of the held design times
+    the coefficients for a sieve fit, a call on the block's columns else."""
+    if isinstance(fit, (SieveRieszFit, NuisanceFit)):
+        return fit.on_design(designs.design(fit.basis)[rows])
+    return np.asarray(fit({name: col[rows] for name, col in designs.cols.items()}),
+                      dtype=np.float64)
+
+
 def _interval(center: float, se: float, level: float) -> ConfidenceInterval:
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     return ConfidenceInterval(center - z * se, center + z * se, level)
 
 
-def _assign_folds(n: int, folds: int, seed: int, min_rows: int) -> np.ndarray:
+def _fold_order(spec: EstimandSpec, data: Dataset, folds: int, seed: int,
+                min_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows sorted by fold, in their original order within each fold,
+    and the offsets of the fold blocks in that order."""
+    n = data.n
     if folds < 1:
         raise SchemaError(f"fold count must be >= 1, got {folds}")
     if n // folds < min_rows:
@@ -340,10 +348,11 @@ def _assign_folds(n: int, folds: int, seed: int, min_rows: int) -> np.ndarray:
             f"reduce folds or min_rows_per_fold")
     # substream 1 is reserved for fold assignment so splits stay independent
     # of data drawn under the same seed (sampling uses substream 0)
-    order = substream(seed, 1).permutation(n)
     fold_ids = np.empty(n, dtype=np.int64)
-    fold_ids[order] = np.arange(n) % folds
-    return fold_ids
+    fold_ids[substream(seed, 1).permutation(n)] = np.arange(n) % folds
+    _check_fold_levels(spec, data, fold_ids, folds)
+    order = np.argsort(fold_ids, kind="stable")
+    return order, np.searchsorted(fold_ids[order], np.arange(folds + 1))
 
 
 def _check_fold_levels(spec: EstimandSpec, data: Dataset, fold_ids: np.ndarray,

@@ -19,11 +19,11 @@ import numpy as np
 from scipy.special import expit
 
 from ._linalg import default_ridge, solve_normal_equations
-from .basis import Basis, make_basis
+from .basis import Basis, FoldDesigns, as_designs, intercept_basis, make_basis
 from .data import Dataset
 from .errors import NonConvergenceError, SchemaError
-from .estimands import EstimandSpec, FunctionalMap, MapTerm, apply_map
-from .riesz import fit_sieve
+from .estimands import EstimandSpec, FunctionalMap, MapTerm
+from .riesz import BlockWeights, fit_sieve
 
 LOGISTIC_TOL = 1e-9
 LOGISTIC_MAX_ITER = 100
@@ -46,7 +46,10 @@ class NuisanceFit:
     newton_iterations: int = 0
 
     def __call__(self, cols) -> np.ndarray:
-        index = self.basis.design(cols) @ self.coef
+        return self.on_design(self.basis.design(cols))
+
+    def on_design(self, design: np.ndarray) -> np.ndarray:
+        index = design @ self.coef
         return expit(index) if self.family == "logistic" else index
 
 
@@ -64,42 +67,60 @@ def fit_logistic(basis: Basis, data, target: np.ndarray, ridge: float | None,
     """Damped Newton on mean log-loss plus (ridge/2)*||coef||^2; converges
     when the largest gradient component falls below ``tol``.
 
-    Once the step's predicted decrease grad.step/2 is below the rounding of
-    the objective, the line search cannot tell better from worse; the fit is
-    then deep in the quadratic region and takes the full Newton step."""
+    ``data`` is a dataset or the training view of a ``FoldDesigns``; the
+    training rows are read as views of the held design, piece by piece.
+    ``design @ step`` is formed once per iteration, so a line-search trial
+    costs an axpy and a log-loss pass. Once the step's predicted decrease
+    grad.step/2 is below the rounding of the objective, the line search
+    cannot tell better from worse; the fit is then deep in the quadratic
+    region and takes the full Newton step."""
+    designs = as_designs(data)
     target = np.asarray(target, dtype=np.float64)
+    if target.shape != (designs.n,):
+        raise SchemaError(f"target has shape {target.shape}, expected ({designs.n},)")
     if not np.isin(target, (0.0, 1.0)).all():
         raise SchemaError("logistic fits require a 0/1 target")
-    design = basis.design(data)
-    n, dim = design.shape
+    design, n, dim = designs.design(basis), designs.n_train, basis.dim
+    rows = [rows for _, rows in designs.pieces(designs.train)]
+    spans = np.cumsum([0] + [r.stop - r.start for r in rows])
+    pieces = [(design[r], slice(a, b)) for r, a, b in zip(rows, spans, spans[1:])]
+    y = np.concatenate([target[r] for r in rows])
     if ridge is None:
-        ridge = default_ridge(design.T @ design / n)
+        ridge = default_ridge(designs.gram(basis))
 
-    def objective(c):
-        index = design @ c
+    def objective(index, c):
         # log(1 + exp(index)) - y*index, computed without overflow
-        return float(np.mean(np.logaddexp(0.0, index) - target * index)
-                     + 0.5 * ridge * c @ c)
+        loss = np.logaddexp(0.0, index)
+        loss -= np.multiply(y, index, out=product)
+        return float(np.mean(loss) + 0.5 * ridge * c @ c)
 
-    coef = np.zeros(dim)
-    value = objective(coef)
+    # index = design @ coef; the other row vectors are reused work space
+    coef, index = np.zeros(dim), np.zeros(n)
+    direction, trial_index, product = np.empty(n), np.empty(n), np.empty(n)
+    value = objective(index, coef)
     condition = np.nan
     for iteration in range(1, max_iter + 1):
-        probs = expit(design @ coef)
-        grad = design.T @ (probs - target) / n + ridge * coef
+        probs = expit(index)
+        grad = sum(d.T @ (probs[s] - y[s]) for d, s in pieces) / n + ridge * coef
         if np.max(np.abs(grad)) < tol:
             return NuisanceFit(stage, "logistic", basis, coef, float(ridge),
                                condition, newton_iterations=iteration - 1)
-        hessian = (design * (probs * (1 - probs))[:, None]).T @ design / n
+        probs *= 1 - probs
+        hessian = sum((d * probs[s, None]).T @ d for d, s in pieces) / n
         step, condition = solve_normal_equations(hessian, grad, ridge,
                                                  what="logistic Hessian")
         in_rounding = 0.5 * grad @ step <= OBJECTIVE_ROUNDING * abs(value)
+        for d, s in pieces:
+            np.matmul(d, step, out=direction[s])
         scale = 1.0
         while scale > 1e-10:
             trial = coef - scale * step
-            trial_value = objective(trial)
+            np.multiply(direction, -scale, out=trial_index)
+            trial_index += index
+            trial_value = objective(trial_index, trial)
             if trial_value <= value or in_rounding:
                 coef, value = trial, trial_value
+                index, trial_index = trial_index, index
                 break
             scale /= 2.0
         else:
@@ -115,57 +136,98 @@ def fit_logistic(basis: Basis, data, target: np.ndarray, ridge: float | None,
 def fit_stage(spec: EstimandSpec, k: int, data: Dataset, prev: NuisanceFit | None = None,
               basis: Basis | None = None, basis_policy: str = "default", degree: int = 2,
               ridge: float | None = None, family: str | None = None) -> NuisanceFit:
-    """Fit the stage-k regression.
+    """Fit the stage-k regression on one dataset, as one block of ``fit_folds``.
 
     For the innermost stage the target is the outcome column; for k < K it is
-    the pseudo-outcome apply_map(stage k+1 map, prev, row), so ``prev`` must
-    be the stage-(k+1) fit. Subgroup outer stages simply include their
-    conditioning variables (e.g. the treatment) among the regression
-    features, so the outer map's point evaluation is well defined.
+    the pseudo-outcome m_{k+1}(x; prev), so ``prev`` must be the stage-(k+1)
+    fit. Subgroup outer stages simply include their conditioning variables
+    (e.g. the treatment) among the regression features, so the outer map's
+    point evaluation is well defined.
     """
-    stage = spec.stage(k)
+    if k < spec.depth and prev is None:
+        raise SchemaError(f"stage {k} needs the stage-{k + 1} fit to build its pseudo-outcome")
     if basis is None:
-        basis = make_basis(basis_policy, stage.given, data, degree)
-    if k == spec.depth:
-        outcome = data.outcome
-        target = data.column(outcome.name)
-        if family is None:
-            family = "logistic" if outcome.support == "binary" else "least_squares"
-    else:
-        if prev is None:
-            raise SchemaError(f"stage {k} needs the stage-{k + 1} fit to build its pseudo-outcome")
-        target = apply_map(spec.stage(k + 1).fmap, prev, data)
-        if family is None:
-            family = "least_squares"
-    if family == "logistic":
-        return fit_logistic(basis, data, target, ridge, k)
-    if family == "least_squares":
-        return fit_least_squares(basis, data, target, ridge, k)
-    raise SchemaError(f"unknown nuisance family {family!r}")
+        basis = make_basis(basis_policy, spec.stage(k).given, data, degree)
+    designs = FoldDesigns(data)
+    _, targets = _stage_targets(spec, k, designs, basis, [prev])
+    return _fitter(spec, k, data, family)(basis, designs, targets[0], ridge, k)
 
 
 def fit_all_stages(spec: EstimandSpec, data: Dataset, basis_policy: str = "default",
                    degree: int = 2, ridge: float | None = None,
                    outcome_family: str | None = None,
                    cache: dict | None = None) -> list[NuisanceFit]:
-    """Fit Q_K down to Q_1; returns fits ordered outermost first.
+    """Fit Q_K down to Q_1 on one dataset, the one-block case of
+    ``fit_folds`` (whose ``cache`` this is); returns fits ordered outermost
+    first."""
+    fits, _ = fit_folds(spec, FoldDesigns(data), basis_policy, degree, ridge,
+                        outcome_family, cache)
+    return [stage[0] for stage in fits]
 
-    ``cache``, shared by calls on the same rows with the same settings, hands
-    back a fit already made for the same stage chain: Q_k is keyed by stage
-    k's conditioning set and subgroup, the stage-(k+1) map and Q_{k+1}'s key.
+
+def fit_folds(spec: EstimandSpec, designs: FoldDesigns, basis_policy: str = "default",
+              degree: int = 2, ridge: float | None = None,
+              outcome_family: str | None = None, cache: dict | None = None):
+    """Fit Q_K down to Q_1 once per fold of ``designs``; Q_K is logistic for
+    a binary outcome unless ``outcome_family`` says otherwise.
+
+    Returns (fits, mapped): fits[k-1][v] is fold v's Q_k, and on block v
+    mapped[k] is m_{k+1}(x; Q_{k+1}) of fold v's fit, for k = 0..K (mapped[0]
+    is the plug-in map, mapped[K] the outcome).
+
+    ``cache``, shared by calls on the same designs with the same settings,
+    hands back fits already made for the same stage chain: Q_k is keyed by
+    stage k's conditioning set and subgroup, the stage-(k+1) map and
+    Q_{k+1}'s key.
     """
     if spec.is_contrast:
         raise SchemaError("instantiate contrast specs before fitting nuisances")
+    depth, dataset = spec.depth, designs.data
+    _fitter(spec, depth, dataset, outcome_family)  # an unknown family fails before any fit
     cache = {} if cache is None else cache
-    fits: list = [None] * spec.depth
-    prev = key = None
-    for k in range(spec.depth, 0, -1):
-        family = outcome_family if k == spec.depth else None
-        stage = spec.stage(k)
-        key = ("Q", stage.given, stage.where,
-               spec.stage(k + 1).fmap if k < spec.depth else family, key)
-        if key not in cache:
-            cache[key] = fit_stage(spec, k, data, prev=prev, basis_policy=basis_policy,
-                                   degree=degree, ridge=ridge, family=family)
-        prev = fits[k - 1] = cache[key]
-    return fits
+    fits, mapped = [None] * depth, [None] * (depth + 1)
+    key = prev = None
+    for k in range(depth, -1, -1):  # k = 0 only evaluates stage 1's map
+        basis = (make_basis(basis_policy, spec.stage(k).given, dataset, degree) if k
+                 else intercept_basis())
+        mapped[k], targets = _stage_targets(spec, k, designs, basis, prev)
+        if k:
+            stage = spec.stage(k)
+            key = ("Q", stage.given, stage.where,
+                   spec.stage(k + 1).fmap if k < depth else outcome_family, key)
+            if key not in cache:
+                fitter = _fitter(spec, k, dataset, outcome_family if k == depth else None)
+                cache[key] = [fitter(basis, designs.fold(v), targets[v], ridge, k)
+                              for v in range(designs.folds)]
+            prev = fits[k - 1] = cache[key]
+    return fits, mapped
+
+
+def _stage_targets(spec: EstimandSpec, k: int, designs: FoldDesigns, basis: Basis, prev):
+    """(mapped, targets): the outcome and each fold's outcome target at
+    k = K. Below K, ``prev`` holds each fold's Q_{k+1}, and one pass over
+    stage k+1's map designs serves every fold: on block u, mapped is
+    m_{k+1}(x; Q_{k+1}) of fold u's fit, and each fold's target is known by
+    the blocks D_u^T t_u of its pseudo-outcome t on stage k's design D,
+    whose training blocks its least squares sums. The pass also leaves the
+    cross blocks of the map with D for the Riesz fit of stage k+1."""
+    if k == spec.depth:
+        outcome = designs.data.column(designs.data.outcome.name)
+        return outcome, [outcome] * designs.folds
+    link = expit if prev[0].family == "logistic" else None
+    coefs = np.column_stack([fit.coef for fit in prev])
+    mapped, blocks = designs.map_values(prev[0].basis, spec.stage(k + 1).fmap, coefs, link,
+                                        basis)
+    return mapped, [BlockWeights(blocks, unit) for unit in np.eye(designs.folds)]
+
+
+def _fitter(spec: EstimandSpec, k: int, dataset: Dataset, family: str | None):
+    """Stage k's fitter: logistic for a binary outcome at k = K unless
+    ``family`` says otherwise; a pseudo-outcome takes least squares."""
+    binary = k == spec.depth and dataset.outcome.support == "binary"
+    family = family or ("logistic" if binary else "least_squares")
+    if family not in ("logistic", "least_squares"):
+        raise SchemaError(f"unknown nuisance family {family!r}")
+    if family == "logistic" and k < spec.depth:
+        raise SchemaError(f"logistic fits require a 0/1 target, not stage {k}'s pseudo-outcome")
+    return fit_logistic if family == "logistic" else fit_least_squares

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import mlp as mlp_net
 from ._linalg import default_ridge, solve_normal_equations
-from .basis import Basis, make_basis
+from .basis import Basis, FoldDesigns, as_designs, intercept_basis, make_basis
 from .data import Dataset, as_columns, constant_one
 from .errors import SchemaError, TrainingDivergedError
 from .estimands import EstimandSpec, FunctionalMap, apply_map, term_columns
@@ -53,7 +53,10 @@ class SieveRieszFit:
     gram_condition: float
 
     def __call__(self, cols) -> np.ndarray:
-        return self.basis.design(cols) @ self.coef
+        return self.on_design(self.basis.design(cols))
+
+    def on_design(self, design: np.ndarray) -> np.ndarray:
+        return design @ self.coef
 
 
 @dataclass
@@ -97,6 +100,10 @@ def fit_sieve(fmap: FunctionalMap, data, basis: Basis, ridge: float | None = Non
     ridge=None applies the scale-aware default; pass 0.0 for the exact
     unpenalized solution (errors if the Gram matrix is singular). With the
     identity map and weights equal to a target this is least squares.
+    ``weights`` are None (all ones), per-row values, the previous stage's
+    sieve fit, whose weight on a row is its design row times its coefficients,
+    or ``BlockWeights``.
+    ``data`` is a dataset or the training view of a ``FoldDesigns``.
     """
     _, gram, rhs = _sieve_system(basis, fmap, data, weights)
     if ridge is None:
@@ -107,21 +114,31 @@ def fit_sieve(fmap: FunctionalMap, data, basis: Basis, ridge: float | None = Non
 
 
 def _sieve_system(basis: Basis, fmap: FunctionalMap, data, weights):
-    """(design, Gram matrix, right-hand side) of the sieve normal equations,
-    the right-hand side being mean_i[w_i * m(x_i; feature)] per feature. It is
-    accumulated one map term at a time, and a term without assignments reuses
-    the observed design rather than evaluating the basis again."""
-    cols, n = as_columns(data)
-    weights = _check_weights(weights, n)
-    design = basis.design(cols)
-    schema = data if isinstance(data, Dataset) else None
-    rhs = np.zeros(basis.dim)
-    for term, (coef, overridden) in zip(fmap.terms, term_columns(fmap, cols, n, schema)):
-        term_design = basis.design(overridden) if term.assignments else design
-        # an overflow leaves rhs non-finite, which solve_normal_equations refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs += coef * (term_design.T @ weights)
-    return design, design.T @ design / n, rhs / n
+    """(designs, Gram matrix, right-hand side) of the sieve normal equations
+    over the training rows, the right-hand side being mean_i[w_i * m(x_i;
+    feature)] per feature. Both are sums of per-block statistics. A weight
+    given as a sieve fit enters through the cross blocks of the map's design
+    with the fit's design, which every fold shares, times its coefficients."""
+    designs = as_designs(data)
+    if weights is None:
+        weights = BlockWeights(designs.cross(basis, fmap, intercept_basis()), np.ones(1))
+    elif isinstance(weights, SieveRieszFit):
+        weights = BlockWeights(designs.cross(basis, fmap, weights.basis), weights.coef)
+    elif not isinstance(weights, BlockWeights):
+        weights = BlockWeights(designs.cross(basis, fmap, _check_weights(weights, designs.n)),
+                               np.ones(1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = sum(weights.blocks[u] for u in designs.train) @ weights.coef / designs.n_train
+    return designs, designs.gram(basis), rhs
+
+
+@dataclass
+class BlockWeights:
+    """Weights W @ coef known only through per-block statistics: block u is
+    the sum over the fitted map's terms of coef_t * M_u^T W_u."""
+
+    blocks: list
+    coef: np.ndarray
 
 
 def representation_residuals(fit: SieveRieszFit, fmap: FunctionalMap, data,
@@ -132,9 +149,9 @@ def representation_residuals(fit: SieveRieszFit, fmap: FunctionalMap, data,
 
     With ridge 0 these are the finite-sample representation-identity gaps
     over the basis span; near machine zero certifies the fit."""
-    design, _, rhs = _sieve_system(fit.basis, fmap, data, weights)
-    fitted = design @ fit.coef
-    lhs = design.T @ fitted / len(design) + fit.ridge * fit.coef
+    designs, _, rhs = _sieve_system(fit.basis, fmap, data, weights)
+    design = designs.design(fit.basis)
+    lhs = design.T @ (design @ fit.coef) / designs.n + fit.ridge * fit.coef
     return lhs - rhs
 
 
@@ -272,17 +289,19 @@ def mlp_loss_gradients(fmap: FunctionalMap, data, config: MlpConfig, weights=Non
 # Sequential fitting for nested estimands
 # ---------------------------------------------------------------------------
 
-def fit_sequential(spec: EstimandSpec, data: Dataset, method: str = "sieve",
+def fit_sequential(spec: EstimandSpec, data, method: str = "sieve",
                    basis_policy: str = "default", degree: int = 2,
                    ridge: float | None = None, mlp_config: MlpConfig | None = None,
                    cache: dict | None = None) -> list:
     """Fit one representer per stage, outermost first.
 
     Stage k's loss weights are the fitted stage k-1 values (ones at k=1);
-    marginal outer stages take the constant-1 weight without fitting.
-    ``cache``, shared by calls on the same rows with the same settings, hands
-    back a fit already made for the same stage chain: stage k is keyed by its
-    content and the stage-(k-1) key.
+    marginal outer stages take the constant-1 weight without fitting. A sieve
+    weight is handed on as its fit (see ``fit_sieve``), never evaluated.
+    ``data`` is a dataset or, for sieves, the training view of a
+    ``FoldDesigns``. ``cache``, shared by calls on the same rows with the same
+    settings, hands back a fit already made for the same stage chain: stage k
+    is keyed by its content and the stage-(k-1) key.
     """
     if spec.is_contrast:
         raise SchemaError("instantiate contrast specs before fitting representers")
@@ -290,10 +309,10 @@ def fit_sequential(spec: EstimandSpec, data: Dataset, method: str = "sieve",
         raise SchemaError(f"unknown Riesz method {method!r}")
     if method == "mlp" and mlp_config is None:
         mlp_config = MlpConfig()
+    schema = data.data if isinstance(data, FoldDesigns) else data
     cache = {} if cache is None else cache
     fits: list = []
-    weights = np.ones(data.n)
-    key = None
+    weights = key = None
     for k in range(1, spec.depth + 1):
         stage = spec.stage(k)
         key = ("alpha", stage, key)
@@ -302,7 +321,7 @@ def fit_sequential(spec: EstimandSpec, data: Dataset, method: str = "sieve",
         elif not stage.given:
             fit = constant_one_fit()
         elif method == "sieve":
-            basis = make_basis(basis_policy, stage.given, data, degree)
+            basis = make_basis(basis_policy, stage.given, schema, degree)
             fit = fit_sieve(stage.fmap, data, basis, ridge=ridge, weights=weights)
         else:
             stage_seed = int(np.random.SeedSequence(
@@ -312,7 +331,8 @@ def fit_sequential(spec: EstimandSpec, data: Dataset, method: str = "sieve",
         cache[key] = fit
         fits.append(fit)
         if k < spec.depth:  # only a later stage reads the weights
-            weights = np.asarray(fit(data.columns), dtype=np.float64)
+            weights = (None if not stage.given else fit if isinstance(fit, SieveRieszFit)
+                       else np.asarray(fit(data.columns), dtype=np.float64))
     return fits
 
 

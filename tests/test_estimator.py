@@ -20,8 +20,9 @@ from rieszreg import (
     truth_oracle,
     verify_orthogonality,
 )
-from rieszreg import nuisance, riesz
+from rieszreg import Basis, nuisance, riesz, substream
 from rieszreg.estimands import spec_from_document
+from rieszreg.estimator import _stage_values
 from rieszreg.mlp import MlpConfig
 from rieszreg.riesz import constant_one_fit
 
@@ -370,3 +371,71 @@ class TestArmSharing:
                  _count_calls(monkeypatch, riesz, "fit_sieve")]
         one_step_estimate(builtin_spec("ate"), discrete_data, folds=5, seed=4)
         assert [len(c) for c in calls] == [5, 5, 5]
+
+    def test_nde_design_count(self, appendix_data, monkeypatch):
+        # each (basis, assignments) design once per estimate: the observed
+        # stage-3, stage-2 and intercept designs and the stage-2 A=0 design
+        # held, each arm's stage-3 override streamed once per fold block
+        designs = _count_calls(monkeypatch, Basis, "design")
+        one_step_estimate(builtin_spec("nde"), appendix_data, folds=5, seed=4)
+        assert len(designs) <= 20
+
+
+def _reference_cross_fit(spec, data, settings, folds, seed):
+    """A cross-fit estimate built fold by fold from training and held-out
+    subsets and the one-dataset fitters: (theta_hat, plug_in, eif_values,
+    per-fold plug-in, outermost mean and Riesz losses)."""
+    fold_ids = np.empty(data.n, dtype=np.int64)
+    fold_ids[substream(seed, 1).permutation(data.n)] = np.arange(data.n) % folds
+    tail, alpha1, next_mapped, plug = (np.zeros(data.n) for _ in range(4))
+    per_fold = []
+    for v in range(folds):
+        test_idx = np.flatnonzero(fold_ids == v)
+        train = data.subset(np.flatnonzero(fold_ids != v) if folds > 1 else test_idx)
+        nuisances = fit_all_stages(spec, train, settings.nuisance_basis, settings.degree,
+                                   settings.ridge, settings.outcome_family)
+        alphas = fit_sequential(spec, train, basis_policy=settings.riesz_basis,
+                                degree=settings.degree, ridge=settings.ridge)
+        parts = _stage_values(spec, alphas, nuisances, data.subset(test_idx))
+        raw_mean = float(np.mean(parts.alpha1))
+        alpha1[test_idx] = parts.alpha1 / raw_mean
+        tail[test_idx] = sum(values for _, values in parts.tail) if parts.tail else 0.0
+        next_mapped[test_idx] = parts.next_mapped
+        plug[test_idx] = parts.plug_values
+        losses = [a.fitted_loss for a in alphas if hasattr(a, "fitted_loss")]
+        per_fold.append([float(np.mean(parts.plug_values)), raw_mean] + losses)
+    plug_in = float(np.mean(plug))
+    eif = tail + alpha1 * (next_mapped - plug_in)
+    return plug_in + float(np.mean(eif)), plug_in, eif, per_fold
+
+
+class TestFoldBlockParity:
+    """The fold-block engine (designs evaluated once on fold-sorted rows,
+    statistics summed over fold blocks, held-out values sliced from held
+    designs) equals a cross-fit assembled from per-fold subsets."""
+
+    CASES = [("mean_treated", "saturated"), ("ate", "saturated"),
+             ("att_control_mean", "saturated"), ("ate", "default"), ("nde", "default")]
+
+    @pytest.mark.parametrize("folds", [1, 2, 5])
+    @pytest.mark.parametrize("ridge", [None, 0.0], ids=["default_ridge", "ridge0"])
+    @pytest.mark.parametrize("name,basis", CASES, ids=[f"{n}-{b}" for n, b in CASES])
+    def test_matches_per_fold_reference(self, discrete_dgp, appendix_dgp, name, basis,
+                                        ridge, folds):
+        dgp = appendix_dgp if name == "nde" else discrete_dgp
+        data = simulate(dgp, 1000, 11)
+        settings = EstimatorSettings(riesz_basis=basis, nuisance_basis=basis, ridge=ridge)
+        spec = builtin_spec(name)
+        report = one_step_estimate(spec, data, settings, folds=folds, seed=11)
+        arms = [spec] if not spec.is_contrast else [spec.instantiate(a) for a in spec.contrast]
+        reports = [report] if not spec.is_contrast else [report, report.contrast.other]
+        for arm, got in zip(arms, reports):
+            theta, plug_in, eif, per_fold = _reference_cross_fit(arm, data, settings, folds, 11)
+            assert got.theta_hat == pytest.approx(theta, rel=1e-10)
+            assert got.plug_in == pytest.approx(plug_in, rel=1e-10)
+            np.testing.assert_allclose(got.eif_values, eif, rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(eif)))
+            got_folds = [[f["plug_in"], f["alpha1_mean_raw"]]
+                         + [x for x in f["riesz_fitted_loss"] if x is not None]
+                         for f in got.per_fold]
+            np.testing.assert_allclose(got_folds, per_fold, rtol=1e-10)

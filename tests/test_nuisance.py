@@ -20,9 +20,10 @@ from rieszreg import (
     simulate,
     substream,
 )
-from rieszreg.basis import INTERCEPT, intercept_basis
+from rieszreg.basis import INTERCEPT, FoldDesigns, intercept_basis
 from rieszreg.bench import replicate_seed
 from rieszreg.data import Column, Dataset
+from rieszreg.estimator import _fold_order
 from rieszreg.nuisance import LOGISTIC_TOL, fit_least_squares
 
 
@@ -84,6 +85,30 @@ class TestLogistic:
                 + fit.ridge * fit.coef)
         assert np.max(np.abs(grad)) < LOGISTIC_TOL
 
+    def test_gradient_floor_input_at_scale_converges_on_every_fold(self):
+        # the n = 200k benchmark input that stalled just above tol; the fits
+        # read fold blocks of the held design and reuse design @ step in the
+        # line search, which moves the rounding that stall came from
+        seed = replicate_seed(707, 4)
+        data = simulate(AppendixDgp(), 200_000, seed)
+        spec = builtin_spec("nde")
+        order, bounds = _fold_order(spec, data, 5, seed, 50)
+        designs = FoldDesigns(data.subset(order), bounds)
+        basis = default_basis(("A", "M", "W"), data)
+        y = designs.data.column("Y")
+        for v in range(5):
+            fit = fit_logistic(basis, designs.fold(v), y, ridge=None, stage=3)
+            train = data.subset(np.sort(np.delete(order, designs.block(v))))
+            grad = (basis.design(train).T @ (fit(train.columns) - train.column("Y"))
+                    / train.n + fit.ridge * fit.coef)
+            assert np.max(np.abs(grad)) < LOGISTIC_TOL, v
+
+    def test_requires_one_target_per_row(self, appendix_data):
+        y = appendix_data.column("Y")
+        for target in (np.concatenate([y, y[:3]]), y[:-1]):
+            with pytest.raises(SchemaError, match="shape"):
+                fit_logistic(_linear_basis("A"), appendix_data, target, ridge=0.0, stage=3)
+
     def test_requires_binary_target(self, appendix_data):
         with pytest.raises(SchemaError, match="0/1"):
             fit_logistic(_linear_basis("A"), appendix_data,
@@ -110,6 +135,14 @@ class TestStageFitting:
     def test_outer_stage_requires_previous_fit(self, discrete_data):
         with pytest.raises(SchemaError, match="stage-2"):
             fit_stage(builtin_spec("ate"), 1, discrete_data)
+
+    def test_families_are_checked_before_fitting(self, discrete_data):
+        spec = builtin_spec("ate")
+        with pytest.raises(SchemaError, match="unknown nuisance family"):
+            fit_all_stages(spec, discrete_data, outcome_family="probit")
+        outcome = fit_stage(spec, 2, discrete_data)
+        with pytest.raises(SchemaError, match="0/1 target"):
+            fit_stage(spec, 1, discrete_data, prev=outcome, family="logistic")
 
     def test_binary_outcome_defaults_to_logistic(self, discrete_data):
         fits = fit_all_stages(builtin_spec("ate"), discrete_data)
