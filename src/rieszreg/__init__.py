@@ -72,7 +72,6 @@ from .nuisance import (  # noqa: F401
     fit_all_stages,
     fit_least_squares,
     fit_logistic,
-    fit_stage,
 )
 from .estimator import (  # noqa: F401
     EifTerm,

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import RieszregError, SingularGramError
+from .errors import RieszregError, SchemaError, SingularGramError
 
 CONDITION_WARN_THRESHOLD = 1e10
 
@@ -23,11 +23,15 @@ def solve_normal_equations(gram, rhs, ridge, what="Gram matrix"):
 
     Applies one iterative-refinement step so first-order conditions hold to
     near machine precision. Returns (x, condition_number); warns when the
-    regularized system is ill conditioned, and refuses a non-finite one.
+    regularized system is ill conditioned, and refuses a non-finite one or a
+    negative or non-finite ridge.
     """
     gram = np.asarray(gram, dtype=np.float64)
     rhs = np.asarray(rhs, dtype=np.float64)
-    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+    finite = np.isfinite(gram).all()  # an overflowed Gram also spoils the default ridge
+    if finite and not (np.isfinite(ridge) and ridge >= 0):
+        raise SchemaError(f"ridge must be finite and non-negative, got {ridge!r}")
+    if not (finite and np.isfinite(rhs).all()):
         raise RieszregError(
             f"{what} or its right-hand side is not finite; "
             f"check map coefficients and weights for overflow")

@@ -3,8 +3,9 @@
 A Basis is an ordered list of monomial features: products of integer powers
 of columns, with the intercept always first. The same bases back both the
 Riesz sieves and the nuisance regressions, which is what makes the empirical
-orthogonality identities between them exact. ``FoldDesigns`` evaluates each
-design once per dataset and serves the fitters its fold blocks.
+orthogonality identities between them exact. ``FoldDesigns``, one per
+estimate, evaluates each design once, serves the fitters its fold blocks and
+memoizes their fits.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def make_basis(kind: str, columns: Iterable[str], dataset: Dataset, degree: int 
 
 
 class FoldDesigns:
-    """Designs over a dataset whose rows are sorted by fold, each fold's rows
-    one contiguous block; a plain dataset is one block.
+    """One estimate's workspace: the rows of ``data`` in ``order``, sorted by
+    fold, each fold's rows one contiguous block; a plain dataset is one block.
 
     Fitters read the blocks in ``train`` (see ``fold``) and take per-row
     arrays spanning all rows. Sieve statistics are sums over rows, so each
@@ -152,17 +153,19 @@ class FoldDesigns:
     statistics are the sum of its training blocks. A design without
     assignments is held once evaluated, and one with assignments once passed
     to ``hold`` (see ``hold_shared``); any other is evaluated by each pass in
-    pieces of at most ``CHUNK`` rows.
+    pieces of at most ``CHUNK`` rows. ``fits`` memoizes the fits made on
+    these rows, keyed by every setting a fit reads.
     """
 
-    def __init__(self, data, bounds=None):
-        self.data = data
-        self.cols, self.n = as_columns(data)
-        self.schema = data if isinstance(data, Dataset) else None
+    def __init__(self, data, order=None, bounds=None):
+        self.order = order
+        self.data = data if order is None else data.subset(order)
+        self.cols, self.n = as_columns(self.data)
+        self.schema = self.data if isinstance(self.data, Dataset) else None
         self.bounds = (0, self.n) if bounds is None else tuple(int(b) for b in bounds)
         self.folds = len(self.bounds) - 1
         self.train, self.n_train = tuple(range(self.folds)), self.n
-        self._held, self._grams, self._cross = {}, {}, {}
+        self._held, self._grams, self._cross, self.fits = {}, {}, {}, {}
 
     def block(self, u: int) -> slice:
         return slice(self.bounds[u], self.bounds[u + 1])
@@ -174,6 +177,14 @@ class FoldDesigns:
         view.train = tuple(u for u in range(self.folds) if u != v) or (v,)
         view.n_train = sum(self.bounds[u + 1] - self.bounds[u] for u in view.train)
         return view
+
+    def training_set(self):
+        """The training rows as a dataset, in their original row order."""
+        rows = np.concatenate([np.arange(self.bounds[u], self.bounds[u + 1])
+                               for u in self.train])
+        if self.order is None:
+            return self.data if len(rows) == self.n else self.data.subset(rows)
+        return self.data.subset(rows[np.argsort(self.order[rows])])
 
     def pieces(self, blocks):
         """(block, rows) pieces of at most CHUNK rows within each block."""

@@ -18,8 +18,8 @@ both bookkeeping identities hold by construction:
     mean(influence at theta_hat) = 0
 
 Within one estimate each fold fits a stage once, and every contrast arm
-whose stage chain agrees reuses that fit. Fits are keyed by the content they
-depend on, never by the arm value: the regression Q_k by stage k's
+whose stage chain agrees reuses that fit. Fits are keyed by the settings and
+content they depend on, never by the arm value: the regression Q_k by stage k's
 conditioning set and subgroup, the stage-(k+1) map and the key of Q_{k+1};
 the weight a_k by stage k and the key of a_{k-1}. In ``nde`` both arms share
 the outcome regression and the stage-2 weight.
@@ -57,6 +57,12 @@ class EstimatorSettings:
     clip: float | None = None         # optional |weight| bound, with a clip count
     min_rows_per_fold: int = 50
     level: float = 0.95
+
+    def __post_init__(self):
+        if self.clip is not None and not (np.isfinite(self.clip) and self.clip > 0):
+            raise SchemaError(f"clip must be finite and positive when given, got {self.clip!r}")
+        if not 0.0 < self.level < 1.0:
+            raise SchemaError(f"level must lie in (0, 1), got {self.level!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -232,23 +238,23 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
     mode). Contrast specs estimate both arms on the same fold assignment and
     report the difference with its own influence-based standard error.
 
-    The rows are sorted by fold once, so each fold is one block of a
-    ``FoldDesigns``: each design is evaluated once per estimate, fits read
-    summed fold blocks, and held-out values are slices of the held designs.
+    One ``FoldDesigns`` sorts the rows by fold, so each fold is one block:
+    each design is evaluated once per estimate, fits read summed fold blocks
+    and are memoized in ``designs.fits`` for both arms, and held-out values
+    are slices of the held designs.
     """
     settings = settings if settings is not None else EstimatorSettings()
     validate_binding(spec, data)
     order, bounds = _fold_order(spec, data, folds, seed, settings.min_rows_per_fold)
-    designs = FoldDesigns(data.subset(order), bounds)
-    caches = [{} for _ in range(folds + 1)]  # Riesz fits per fold, then the regressions
+    designs = FoldDesigns(data, order, bounds)
     arms = ([(spec.instantiate(value), f"{spec.name}[a'={value:g}]")
              for value in spec.contrast] if spec.is_contrast else [(spec, spec.name)])
     policies = [settings.nuisance_basis]
     if settings.riesz_method == "sieve":
         policies.append(settings.riesz_basis)
     designs.hold_shared([arm for arm, _ in arms], policies, settings.degree)
-    report, *others = [_estimate_concrete(arm, data, designs, order, settings, seed, name,
-                                          caches) for arm, name in arms]
+    report, *others = [_estimate_concrete(arm, designs, settings, seed, name)
+                       for arm, name in arms]
     if others:
         eif_diff = report.eif_values - others[0].eif_values
         difference = report.theta_hat - others[0].theta_hat
@@ -268,13 +274,12 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
     return report
 
 
-def _estimate_concrete(spec: EstimandSpec, data: Dataset, designs: FoldDesigns,
-                       order: np.ndarray, settings: EstimatorSettings, seed: int,
-                       name: str, caches: list) -> EstimateReport:
-    n, folds = data.n, designs.folds
+def _estimate_concrete(spec: EstimandSpec, designs: FoldDesigns,
+                       settings: EstimatorSettings, seed: int, name: str) -> EstimateReport:
+    n, folds = designs.n, designs.folds
     nuisances, mapped = fit_folds(
         spec, designs, basis_policy=settings.nuisance_basis, degree=settings.degree,
-        ridge=settings.ridge, outcome_family=settings.outcome_family, cache=caches[folds])
+        ridge=settings.ridge, outcome_family=settings.outcome_family)
     plug_in = float(np.mean(mapped[0]))
     eif_values = np.empty(n)
     per_fold = []
@@ -282,14 +287,10 @@ def _estimate_concrete(spec: EstimandSpec, data: Dataset, designs: FoldDesigns,
 
     for v in range(folds):
         rows = designs.block(v)
-        if settings.riesz_method == "mlp":  # networks train on rows in their original order
-            train = data.subset(np.sort(np.delete(order, rows)) if folds > 1 else order)
-        else:
-            train = designs.fold(v)
         alphas = fit_sequential(
-            spec, train, method=settings.riesz_method, basis_policy=settings.riesz_basis,
-            degree=settings.degree, ridge=settings.ridge, mlp_config=settings.mlp,
-            cache=caches[v])
+            spec, designs.fold(v), method=settings.riesz_method,
+            basis_policy=settings.riesz_basis, degree=settings.degree, ridge=settings.ridge,
+            mlp_config=settings.mlp)
 
         weights = [_held_out(fit, designs, rows) for fit in alphas]
         regressions = [_held_out(stage[v], designs, rows) for stage in nuisances[1:]]
@@ -302,7 +303,7 @@ def _estimate_concrete(spec: EstimandSpec, data: Dataset, designs: FoldDesigns,
                 f"outermost weight averages to ~0 in fold {v}; cannot solve for the estimate")
         tail_sum = sum(values for _, values in parts.tail) if parts.tail else 0.0
         alpha1 = parts.alpha1 / raw_mean
-        eif_values[order[rows]] = tail_sum + alpha1 * (parts.next_mapped - plug_in)
+        eif_values[designs.order[rows]] = tail_sum + alpha1 * (parts.next_mapped - plug_in)
         per_fold.append({
             "fold": v,
             "n_eval": rows.stop - rows.start,

@@ -133,101 +133,61 @@ def fit_logistic(basis: Basis, data, target: np.ndarray, ridge: float | None,
         f"(max gradient {np.max(np.abs(grad)):.3e}, tol {tol:g})")
 
 
-def fit_stage(spec: EstimandSpec, k: int, data: Dataset, prev: NuisanceFit | None = None,
-              basis: Basis | None = None, basis_policy: str = "default", degree: int = 2,
-              ridge: float | None = None, family: str | None = None) -> NuisanceFit:
-    """Fit the stage-k regression on one dataset, as one block of ``fit_folds``.
-
-    For the innermost stage the target is the outcome column; for k < K it is
-    the pseudo-outcome m_{k+1}(x; prev), so ``prev`` must be the stage-(k+1)
-    fit. Subgroup outer stages simply include their conditioning variables
-    (e.g. the treatment) among the regression features, so the outer map's
-    point evaluation is well defined.
-    """
-    if k < spec.depth and prev is None:
-        raise SchemaError(f"stage {k} needs the stage-{k + 1} fit to build its pseudo-outcome")
-    if basis is None:
-        basis = make_basis(basis_policy, spec.stage(k).given, data, degree)
-    designs = FoldDesigns(data)
-    _, targets = _stage_targets(spec, k, designs, basis, [prev])
-    return _fitter(spec, k, data, family)(basis, designs, targets[0], ridge, k)
-
-
 def fit_all_stages(spec: EstimandSpec, data: Dataset, basis_policy: str = "default",
                    degree: int = 2, ridge: float | None = None,
-                   outcome_family: str | None = None,
-                   cache: dict | None = None) -> list[NuisanceFit]:
+                   outcome_family: str | None = None) -> list[NuisanceFit]:
     """Fit Q_K down to Q_1 on one dataset, the one-block case of
-    ``fit_folds`` (whose ``cache`` this is); returns fits ordered outermost
-    first."""
-    fits, _ = fit_folds(spec, FoldDesigns(data), basis_policy, degree, ridge,
-                        outcome_family, cache)
+    ``fit_folds``; returns fits ordered outermost first."""
+    fits, _ = fit_folds(spec, FoldDesigns(data), basis_policy, degree, ridge, outcome_family)
     return [stage[0] for stage in fits]
 
 
 def fit_folds(spec: EstimandSpec, designs: FoldDesigns, basis_policy: str = "default",
               degree: int = 2, ridge: float | None = None,
-              outcome_family: str | None = None, cache: dict | None = None):
+              outcome_family: str | None = None):
     """Fit Q_K down to Q_1 once per fold of ``designs``; Q_K is logistic for
-    a binary outcome unless ``outcome_family`` says otherwise.
+    a binary outcome unless ``outcome_family`` says otherwise, and every
+    pseudo-outcome takes least squares.
 
     Returns (fits, mapped): fits[k-1][v] is fold v's Q_k, and on block v
     mapped[k] is m_{k+1}(x; Q_{k+1}) of fold v's fit, for k = 0..K (mapped[0]
-    is the plug-in map, mapped[K] the outcome).
+    is the plug-in map, mapped[K] the outcome). Below K, one pass over stage
+    k+1's map designs serves every fold: each fold's target is known by the
+    blocks D_u^T t_u of its pseudo-outcome t on stage k's design D, whose
+    training blocks its least squares sums, and the pass leaves the cross
+    blocks of the map with D for the Riesz fit of stage k+1.
 
-    ``cache``, shared by calls on the same designs with the same settings,
-    hands back fits already made for the same stage chain: Q_k is keyed by
-    stage k's conditioning set and subgroup, the stage-(k+1) map and
-    Q_{k+1}'s key.
+    ``designs.fits`` hands back fits already made for the same stage chain
+    and settings: Q_k is keyed by the settings, stage k's conditioning set
+    and subgroup, the stage-(k+1) map and Q_{k+1}'s key.
     """
     if spec.is_contrast:
         raise SchemaError("instantiate contrast specs before fitting nuisances")
     depth, dataset = spec.depth, designs.data
-    _fitter(spec, depth, dataset, outcome_family)  # an unknown family fails before any fit
-    cache = {} if cache is None else cache
+    binary = dataset.outcome.support == "binary"
+    family = outcome_family or ("logistic" if binary else "least_squares")
+    if family not in ("logistic", "least_squares"):
+        raise SchemaError(f"unknown nuisance family {family!r}")
     fits, mapped = [None] * depth, [None] * (depth + 1)
-    key = prev = None
+    mapped[depth] = dataset.column(dataset.outcome.name)
+    targets, key = [mapped[depth]] * designs.folds, None
     for k in range(depth, -1, -1):  # k = 0 only evaluates stage 1's map
         basis = (make_basis(basis_policy, spec.stage(k).given, dataset, degree) if k
                  else intercept_basis())
-        mapped[k], targets = _stage_targets(spec, k, designs, basis, prev)
+        if k < depth:
+            prev = fits[k]
+            link = expit if prev[0].family == "logistic" else None
+            mapped[k], blocks = designs.map_values(
+                prev[0].basis, spec.stage(k + 1).fmap,
+                np.column_stack([fit.coef for fit in prev]), link, basis)
+            targets = [BlockWeights(blocks, unit) for unit in np.eye(designs.folds)]
         if k:
             stage = spec.stage(k)
-            key = ("Q", stage.given, stage.where,
-                   spec.stage(k + 1).fmap if k < depth else outcome_family, key)
-            if key not in cache:
-                fitter = _fitter(spec, k, dataset, outcome_family if k == depth else None)
-                cache[key] = [fitter(basis, designs.fold(v), targets[v], ridge, k)
-                              for v in range(designs.folds)]
-            prev = fits[k - 1] = cache[key]
+            key = ("Q", basis_policy, degree, ridge, family, stage.given, stage.where,
+                   spec.stage(k + 1).fmap if k < depth else None, key)
+            if key not in designs.fits:
+                fitter = fit_logistic if k == depth and family == "logistic" else fit_least_squares
+                designs.fits[key] = [fitter(basis, designs.fold(v), targets[v], ridge, k)
+                                     for v in range(designs.folds)]
+            fits[k - 1] = designs.fits[key]
     return fits, mapped
-
-
-def _stage_targets(spec: EstimandSpec, k: int, designs: FoldDesigns, basis: Basis, prev):
-    """(mapped, targets): the outcome and each fold's outcome target at
-    k = K. Below K, ``prev`` holds each fold's Q_{k+1}, and one pass over
-    stage k+1's map designs serves every fold: on block u, mapped is
-    m_{k+1}(x; Q_{k+1}) of fold u's fit, and each fold's target is known by
-    the blocks D_u^T t_u of its pseudo-outcome t on stage k's design D,
-    whose training blocks its least squares sums. The pass also leaves the
-    cross blocks of the map with D for the Riesz fit of stage k+1."""
-    if k == spec.depth:
-        outcome = designs.data.column(designs.data.outcome.name)
-        return outcome, [outcome] * designs.folds
-    link = expit if prev[0].family == "logistic" else None
-    coefs = np.column_stack([fit.coef for fit in prev])
-    mapped, blocks = designs.map_values(prev[0].basis, spec.stage(k + 1).fmap, coefs, link,
-                                        basis)
-    return mapped, [BlockWeights(blocks, unit) for unit in np.eye(designs.folds)]
-
-
-def _fitter(spec: EstimandSpec, k: int, dataset: Dataset, family: str | None):
-    """Stage k's fitter: logistic for a binary outcome at k = K unless
-    ``family`` says otherwise; a pseudo-outcome takes least squares."""
-    binary = k == spec.depth and dataset.outcome.support == "binary"
-    family = family or ("logistic" if binary else "least_squares")
-    if family not in ("logistic", "least_squares"):
-        raise SchemaError(f"unknown nuisance family {family!r}")
-    if family == "logistic" and k < spec.depth:
-        raise SchemaError(f"logistic fits require a 0/1 target, not stage {k}'s pseudo-outcome")
-    return fit_logistic if family == "logistic" else fit_least_squares

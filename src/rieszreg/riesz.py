@@ -21,7 +21,7 @@ import numpy as np
 
 from . import mlp as mlp_net
 from ._linalg import default_ridge, solve_normal_equations
-from .basis import Basis, FoldDesigns, as_designs, intercept_basis, make_basis
+from .basis import Basis, as_designs, intercept_basis, make_basis
 from .data import Dataset, as_columns, constant_one
 from .errors import SchemaError, TrainingDivergedError
 from .estimands import EstimandSpec, FunctionalMap, apply_map, term_columns
@@ -291,17 +291,17 @@ def mlp_loss_gradients(fmap: FunctionalMap, data, config: MlpConfig, weights=Non
 
 def fit_sequential(spec: EstimandSpec, data, method: str = "sieve",
                    basis_policy: str = "default", degree: int = 2,
-                   ridge: float | None = None, mlp_config: MlpConfig | None = None,
-                   cache: dict | None = None) -> list:
+                   ridge: float | None = None, mlp_config: MlpConfig | None = None) -> list:
     """Fit one representer per stage, outermost first.
 
     Stage k's loss weights are the fitted stage k-1 values (ones at k=1);
     marginal outer stages take the constant-1 weight without fitting. A sieve
     weight is handed on as its fit (see ``fit_sieve``), never evaluated.
-    ``data`` is a dataset or, for sieves, the training view of a
-    ``FoldDesigns``. ``cache``, shared by calls on the same rows with the same
-    settings, hands back a fit already made for the same stage chain: stage k
-    is keyed by its content and the stage-(k-1) key.
+    ``data`` is a dataset or a fold view of a ``FoldDesigns``: sieves read
+    its training blocks, networks train on its ``training_set()``. Its
+    ``fits`` hands back a fit already made for the same stage chain: stage k
+    is keyed by the training blocks, the settings, its content and the
+    stage-(k-1) key.
     """
     if spec.is_contrast:
         raise SchemaError("instantiate contrast specs before fitting representers")
@@ -309,30 +309,31 @@ def fit_sequential(spec: EstimandSpec, data, method: str = "sieve",
         raise SchemaError(f"unknown Riesz method {method!r}")
     if method == "mlp" and mlp_config is None:
         mlp_config = MlpConfig()
-    schema = data.data if isinstance(data, FoldDesigns) else data
-    cache = {} if cache is None else cache
+    designs = as_designs(data)
+    rows = designs.training_set() if method == "mlp" else designs
     fits: list = []
     weights = key = None
     for k in range(1, spec.depth + 1):
         stage = spec.stage(k)
-        key = ("alpha", stage, key)
-        if key in cache:
-            fit = cache[key]
+        key = ("alpha", designs.train, method, basis_policy, degree, ridge, mlp_config,
+               stage, key)
+        if key in designs.fits:
+            fit = designs.fits[key]
         elif not stage.given:
             fit = constant_one_fit()
         elif method == "sieve":
-            basis = make_basis(basis_policy, stage.given, schema, degree)
-            fit = fit_sieve(stage.fmap, data, basis, ridge=ridge, weights=weights)
+            basis = make_basis(basis_policy, stage.given, designs.data, degree)
+            fit = fit_sieve(stage.fmap, designs, basis, ridge=ridge, weights=weights)
         else:
             stage_seed = int(np.random.SeedSequence(
                 mlp_config.seed, spawn_key=(k,)).generate_state(1)[0])
-            fit = fit_mlp(stage.fmap, data, replace(mlp_config, seed=stage_seed),
+            fit = fit_mlp(stage.fmap, rows, replace(mlp_config, seed=stage_seed),
                           weights=weights, columns=stage.given)
-        cache[key] = fit
+        designs.fits[key] = fit
         fits.append(fit)
         if k < spec.depth:  # only a later stage reads the weights
             weights = (None if not stage.given else fit if isinstance(fit, SieveRieszFit)
-                       else np.asarray(fit(data.columns), dtype=np.float64))
+                       else np.asarray(fit(rows.columns), dtype=np.float64))
     return fits
 
 

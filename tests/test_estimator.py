@@ -13,17 +13,22 @@ from rieszreg import (
     builtin_spec,
     closed_form_representer,
     fit_all_stages,
+    fit_logistic,
     fit_sequential,
+    fit_sieve,
+    make_basis,
     one_step_estimate,
     simulate,
     true_nuisance,
     truth_oracle,
     verify_orthogonality,
 )
-from rieszreg import Basis, nuisance, riesz, substream
+from rieszreg import Basis, basis as basis_module, nuisance, riesz, substream
+from rieszreg.basis import FoldDesigns
 from rieszreg.estimands import spec_from_document
-from rieszreg.estimator import _stage_values
+from rieszreg.estimator import _fold_order, _stage_values
 from rieszreg.mlp import MlpConfig
+from rieszreg.nuisance import fit_folds
 from rieszreg.riesz import constant_one_fit
 
 EXACT = EstimatorSettings(riesz_basis="saturated", nuisance_basis="saturated",
@@ -281,6 +286,40 @@ class TestOrthogonalityDiagnostics:
         assert abs(rows[0].mean) > 1e-6  # diagnostic only, no exception
 
 
+# A setting that would silently corrupt an estimate is refused up front: a
+# non-positive clip replaces every weight, a level outside (0, 1) has no
+# interval, and a negative or NaN ridge is no penalty.
+def _ate_with(discrete_data, **settings):
+    return one_step_estimate(builtin_spec("ate"), discrete_data, EstimatorSettings(**settings))
+
+
+def _basis(discrete_data):
+    return make_basis("default", ("A", "W"), discrete_data)
+
+
+BAD_SETTINGS = [
+    ("negative clip", lambda d: EstimatorSettings(clip=-1.0)),
+    ("zero clip", lambda d: EstimatorSettings(clip=0.0)),
+    ("infinite clip", lambda d: EstimatorSettings(clip=float("inf"))),
+    ("nan clip", lambda d: EstimatorSettings(clip=float("nan"))),
+    ("zero level", lambda d: EstimatorSettings(level=0.0)),
+    ("level above one", lambda d: EstimatorSettings(level=1.5)),
+    ("nan level", lambda d: EstimatorSettings(level=float("nan"))),
+    ("negative ridge", lambda d: _ate_with(d, ridge=-1e-3)),
+    ("nan ridge", lambda d: _ate_with(d, ridge=float("nan"))),
+    ("negative ridge, sieve", lambda d: fit_sieve(builtin_spec("ate").stage(2).fmap, d,
+                                                  _basis(d), ridge=-1e-3)),
+    ("nan ridge, logistic", lambda d: fit_logistic(_basis(d), d, d.column("Y"),
+                                                   ridge=float("nan"), stage=2)),
+]
+
+
+@pytest.mark.parametrize("make", [c[1] for c in BAD_SETTINGS], ids=[c[0] for c in BAD_SETTINGS])
+def test_corrupting_settings_are_refused(discrete_data, make):
+    with pytest.raises(SchemaError, match="clip|level|ridge"):
+        make(discrete_data)
+
+
 class TestCrossFitStatistical:
     def test_interval_covers_truth_on_easy_design(self, discrete_dgp):
         data = simulate(discrete_dgp, 20000, 77)
@@ -380,6 +419,34 @@ class TestArmSharing:
         one_step_estimate(builtin_spec("nde"), appendix_data, folds=5, seed=4)
         assert len(designs) <= 20
 
+    def test_memo_never_hands_back_a_fit_made_under_other_settings(self, appendix_data):
+        # every call below reads one workspace's memo; each must equal the same
+        # call on fresh designs, so a key that leaves out a setting fails
+        spec = builtin_spec("nde").instantiate(1.0)
+        order, bounds = _fold_order(spec, appendix_data, 3, 4, 50)
+        shared = FoldDesigns(appendix_data, order, bounds)
+        riesz_settings = [{"ridge": None, "mlp_config": MlpConfig(epochs=5)},
+                          {"ridge": 0.0}, {"ridge": 0.0, "degree": 3},
+                          {"ridge": 0.0, "basis_policy": "intercept"},
+                          {"method": "mlp", "mlp_config": MlpConfig(epochs=5)},
+                          {"method": "mlp", "mlp_config": MlpConfig(epochs=6)}]
+        for kwargs in riesz_settings:
+            for v in (0, 1):
+                got = fit_sequential(spec, shared.fold(v), **kwargs)
+                want = fit_sequential(spec, FoldDesigns(appendix_data, order, bounds).fold(v),
+                                      **kwargs)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a(appendix_data.columns), b(appendix_data.columns))
+        nuisance_settings = [{}, {"outcome_family": "least_squares"},
+                             {"outcome_family": "least_squares", "ridge": 0.0},
+                             {"outcome_family": "logistic"}, {"degree": 3},
+                             {"basis_policy": "intercept"}]
+        for kwargs in nuisance_settings:
+            got, _ = fit_folds(spec, shared, **kwargs)
+            want, _ = fit_folds(spec, FoldDesigns(appendix_data, order, bounds), **kwargs)
+            for a, b in zip(sum(got, []), sum(want, [])):
+                assert a.family == b.family and np.array_equal(a.coef, b.coef)
+
 
 def _reference_cross_fit(spec, data, settings, folds, seed):
     """A cross-fit estimate built fold by fold from training and held-out
@@ -417,11 +484,15 @@ class TestFoldBlockParity:
     CASES = [("mean_treated", "saturated"), ("ate", "saturated"),
              ("att_control_mean", "saturated"), ("ate", "default"), ("nde", "default")]
 
-    @pytest.mark.parametrize("folds", [1, 2, 5])
+    # a 7-row chunk splits every fold block into many pieces, as n > CHUNK would
+    @pytest.mark.parametrize("folds,chunk", [(f, c) for c in (basis_module.CHUNK, 7)
+                                             for f in (1, 2, 5)],
+                             ids=["1", "2", "5", "1-chunk7", "2-chunk7", "5-chunk7"])
     @pytest.mark.parametrize("ridge", [None, 0.0], ids=["default_ridge", "ridge0"])
     @pytest.mark.parametrize("name,basis", CASES, ids=[f"{n}-{b}" for n, b in CASES])
     def test_matches_per_fold_reference(self, discrete_dgp, appendix_dgp, name, basis,
-                                        ridge, folds):
+                                        ridge, folds, chunk, monkeypatch):
+        monkeypatch.setattr(basis_module, "CHUNK", chunk)
         dgp = appendix_dgp if name == "nde" else discrete_dgp
         data = simulate(dgp, 1000, 11)
         settings = EstimatorSettings(riesz_basis=basis, nuisance_basis=basis, ridge=ridge)

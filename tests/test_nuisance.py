@@ -15,16 +15,15 @@ from rieszreg import (
     default_basis,
     fit_all_stages,
     fit_logistic,
-    fit_stage,
     one_step_estimate,
     simulate,
     substream,
 )
-from rieszreg.basis import INTERCEPT, FoldDesigns, intercept_basis
+from rieszreg.basis import INTERCEPT, FoldDesigns
 from rieszreg.bench import replicate_seed
 from rieszreg.data import Column, Dataset
 from rieszreg.estimator import _fold_order
-from rieszreg.nuisance import LOGISTIC_TOL, fit_least_squares
+from rieszreg.nuisance import LOGISTIC_TOL
 
 
 def _linear_basis(*names):
@@ -93,7 +92,7 @@ class TestLogistic:
         data = simulate(AppendixDgp(), 200_000, seed)
         spec = builtin_spec("nde")
         order, bounds = _fold_order(spec, data, 5, seed, 50)
-        designs = FoldDesigns(data.subset(order), bounds)
+        designs = FoldDesigns(data, order, bounds)
         basis = default_basis(("A", "M", "W"), data)
         y = designs.data.column("Y")
         for v in range(5):
@@ -118,31 +117,26 @@ class TestLogistic:
 class TestStageFitting:
     def test_saturated_single_stage_equals_cell_mean(self, discrete_data):
         spec = builtin_spec("mean_treated")
-        fit = fit_stage(spec, 1, discrete_data, basis_policy="saturated",
-                        ridge=0.0, family="least_squares")
+        fits = fit_all_stages(spec, discrete_data, basis_policy="saturated", ridge=0.0,
+                              outcome_family="least_squares")
         a, y = discrete_data.column("A"), discrete_data.column("Y")
-        predicted = apply_map(spec.stage(1).fmap, fit, discrete_data)
+        predicted = apply_map(spec.stage(1).fmap, fits[0], discrete_data)
         np.testing.assert_allclose(predicted, y[a == 1.0].mean(), atol=1e-10)
 
     def test_constant_previous_stage_zeroes_difference_pseudo_outcome(self,
                                                                       discrete_data):
-        spec = builtin_spec("ate")
-        constant = fit_least_squares(intercept_basis(), discrete_data,
-                                     np.full(discrete_data.n, 3.3), ridge=0.0, stage=2)
-        outer = fit_stage(spec, 1, discrete_data, prev=constant, ridge=0.0)
-        np.testing.assert_allclose(outer(discrete_data.columns), 0.0, atol=1e-12)
-
-    def test_outer_stage_requires_previous_fit(self, discrete_data):
-        with pytest.raises(SchemaError, match="stage-2"):
-            fit_stage(builtin_spec("ate"), 1, discrete_data)
+        # a constant outcome fits a constant Q_2, whose treated-minus-control
+        # pseudo-outcome is zero on every row
+        schema = tuple(Column("Y", "outcome") if col.name == "Y" else col
+                       for col in discrete_data.schema)
+        data = Dataset(schema, {**discrete_data.columns, "Y": np.full(discrete_data.n, 3.3)})
+        outer, _ = fit_all_stages(builtin_spec("ate"), data, ridge=0.0)
+        assert outer.family == "least_squares"
+        np.testing.assert_allclose(outer(data.columns), 0.0, atol=1e-12)
 
     def test_families_are_checked_before_fitting(self, discrete_data):
-        spec = builtin_spec("ate")
         with pytest.raises(SchemaError, match="unknown nuisance family"):
-            fit_all_stages(spec, discrete_data, outcome_family="probit")
-        outcome = fit_stage(spec, 2, discrete_data)
-        with pytest.raises(SchemaError, match="0/1 target"):
-            fit_stage(spec, 1, discrete_data, prev=outcome, family="logistic")
+            fit_all_stages(builtin_spec("ate"), discrete_data, outcome_family="probit")
 
     def test_binary_outcome_defaults_to_logistic(self, discrete_data):
         fits = fit_all_stages(builtin_spec("ate"), discrete_data)
