@@ -4,8 +4,10 @@ The network is deliberately tiny (default two hidden layers of four units)
 and single-threaded, so fits are deterministic given their seed. The module
 knows nothing about any particular loss: callers run ``forward_cached``,
 supply the gradient of their loss with respect to the network output, and
-``backward`` returns parameter gradients. Analytic gradients can be audited
-against central finite differences via ``numeric_gradient``.
+``backward`` returns the flat parameter gradient, which ``AdamState.step``
+applies in place to one flat parameter vector that the (weights, bias)
+``views`` share. Analytic gradients can be audited against central finite
+differences via ``numeric_gradient``.
 """
 
 from __future__ import annotations
@@ -30,12 +32,24 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("hidden_layers", "width", "epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "batch_size":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise SchemaError(f"{name} must be an integer, got {value!r}")
+        if not all(0.0 <= beta < 1.0 for beta in (self.beta1, self.beta2)):
+            raise SchemaError(f"beta1 and beta2 must lie in [0, 1), got "
+                              f"{self.beta1!r} and {self.beta2!r}")
+        if not (np.isfinite(self.adam_eps) and self.adam_eps > 0):
+            raise SchemaError(f"adam_eps must be finite and positive, got {self.adam_eps!r}")
         if self.hidden_layers < 1 or self.width < 1:
             raise SchemaError("hidden_layers and width must be positive")
         if self.epochs < 0:
             raise SchemaError("epochs must be >= 0")
-        if self.learning_rate <= 0:
-            raise SchemaError("learning rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise SchemaError(f"learning rate must be finite and positive, "
+                              f"got {self.learning_rate!r}")
         if self.batch_size is not None and self.batch_size < 1:
             raise SchemaError("batch size must be positive when given")
 
@@ -52,70 +66,73 @@ def init_params(n_inputs: int, config: MlpConfig, rng: np.random.Generator):
     return params
 
 
+def views(flat: np.ndarray, template):
+    """(weights, bias) views into ``flat``, laid out as ``flatten`` lays out
+    ``template``."""
+    params, offset = [], 0
+    for w, b in template:
+        params.append((flat[offset:offset + w.size].reshape(w.shape),
+                       flat[offset + w.size:offset + w.size + b.size]))
+        offset += w.size + b.size
+    return params
+
+
 def forward(params, x: np.ndarray) -> np.ndarray:
-    out = x
-    for weights, bias in params[:-1]:
-        out = np.maximum(out @ weights + bias, 0.0)
-    weights, bias = params[-1]
-    return (out @ weights + bias)[:, 0]
+    """Network output per row of ``x`` (rows, inputs)."""
+    return _forward(params, x)[0]
 
 
 def forward_cached(params, x: np.ndarray):
-    """Forward pass keeping pre-activations for backprop."""
-    activations = [x]
-    pre = []
-    out = x
+    """Forward pass keeping the activations for ``backward``."""
+    return _forward(params, x)
+
+
+def _forward(params, x: np.ndarray):
+    """(output per row, activations). Activations are feature-major, (width,
+    rows), so bias adds broadcast along the long axis and ``backward`` sums
+    contiguous rows; pass ``x`` F-ordered to make ``x.T`` C-contiguous. A
+    unit's pre-activation is positive exactly where its activation is."""
+    activations = [x.T]
     for weights, bias in params[:-1]:
-        z = out @ weights + bias
-        pre.append(z)
-        out = np.maximum(z, 0.0)
-        activations.append(out)
+        z = weights.T @ activations[-1]
+        z += bias[:, None]
+        activations.append(np.maximum(z, 0.0, out=z))
     weights, bias = params[-1]
-    final = (out @ weights + bias)[:, 0]
-    return final, (activations, pre)
+    final = weights.T @ activations[-1]
+    final += bias[:, None]
+    return final[0], activations
 
 
-def backward(params, cache, grad_out: np.ndarray):
-    """Parameter gradients given d(loss)/d(output) per row."""
-    activations, pre = cache
-    grads = [None] * len(params)
-    delta = grad_out[:, None]
-    for layer in range(len(params) - 1, -1, -1):
-        weights, _ = params[layer]
-        grads[layer] = (activations[layer].T @ delta,
-                        delta.sum(axis=0))
+def backward(params, activations, grad_out: np.ndarray) -> np.ndarray:
+    """Flat parameter gradient, laid out as ``flatten``, given d(loss)/d(output)
+    per row."""
+    grad = np.empty(sum(w.size + b.size for w, b in params))
+    delta = grad_out[None, :]
+    for layer, (gw, gb) in reversed(list(enumerate(views(grad, params)))):
+        np.matmul(activations[layer], delta.T, out=gw)
+        delta.sum(axis=1, out=gb)
         if layer > 0:
-            delta = (delta @ weights.T) * (pre[layer - 1] > 0.0)
-    return grads
+            delta = params[layer][0] @ delta
+            delta *= activations[layer] > 0.0
+    return grad
 
 
 class AdamState:
-    """First/second moment accumulators with bias correction."""
+    """Flat first/second moment accumulators with bias correction."""
 
-    def __init__(self, params):
-        self.m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
-        self.v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+    def __init__(self, flat: np.ndarray):
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
         self.t = 0
 
-    def step(self, params, grads, config: MlpConfig):
+    def step(self, flat: np.ndarray, grad: np.ndarray, config: MlpConfig) -> None:
+        """Update ``flat`` in place by one Adam step on ``grad``."""
         self.t += 1
         b1, b2 = config.beta1, config.beta2
         lr_t = config.learning_rate * np.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
-        new_params = []
-        for i, ((w, b), (gw, gb)) in enumerate(zip(params, grads)):
-            mw, mb = self.m[i]
-            vw, vb = self.v[i]
-            mw = b1 * mw + (1 - b1) * gw
-            mb = b1 * mb + (1 - b1) * gb
-            vw = b2 * vw + (1 - b2) * gw ** 2
-            vb = b2 * vb + (1 - b2) * gb ** 2
-            self.m[i] = (mw, mb)
-            self.v[i] = (vw, vb)
-            new_params.append((
-                w - lr_t * mw / (np.sqrt(vw) + config.adam_eps),
-                b - lr_t * mb / (np.sqrt(vb) + config.adam_eps),
-            ))
-        return new_params
+        np.add(b1 * self.m, (1 - b1) * grad, out=self.m)
+        np.add(b2 * self.v, (1 - b2) * grad ** 2, out=self.v)
+        flat -= lr_t * self.m / (np.sqrt(self.v) + config.adam_eps)
 
 
 def flatten(params) -> np.ndarray:
@@ -123,16 +140,7 @@ def flatten(params) -> np.ndarray:
 
 
 def unflatten(flat: np.ndarray, template):
-    params = []
-    offset = 0
-    for w, b in template:
-        wsize, bsize = w.size, b.size
-        params.append((
-            flat[offset:offset + wsize].reshape(w.shape).copy(),
-            flat[offset + wsize:offset + wsize + bsize].copy(),
-        ))
-        offset += wsize + bsize
-    return params
+    return [(w.copy(), b.copy()) for w, b in views(flat, template)]
 
 
 def numeric_gradient(loss_fn, params, step: float = 1e-5) -> np.ndarray:

@@ -181,54 +181,56 @@ def fit_mlp(fmap: FunctionalMap, data, config: MlpConfig, weights=None,
 
     ``columns`` fixes the network's input order (defaults to the map's free
     variables followed by its assigned variables). Training is deterministic
-    given config.seed; the returned fit carries the full loss curve, with the
-    final entry never above the initial one for epochs > 0 monitored by the
-    divergence guard.
+    given config.seed; the returned fit carries the full loss curve, the loss
+    at the start of each epoch and then the final loss, with the final entry
+    never above the initial one for epochs > 0 monitored by the divergence
+    guard. Full batch is the one-batch case of the minibatch loop.
     """
-    columns, blocks, weights, loss_and_grad = _mlp_problem(fmap, data, weights, columns)
-    n = len(weights)
-    stacked = np.vstack(blocks)
-
+    columns, inputs, n, map_grad = _mlp_problem(fmap, data, weights, columns)
     rng = substream(config.seed)
-    params = mlp_net.init_params(len(columns), config, rng)
-
-    def full_loss(p) -> float:
-        return loss_and_grad(mlp_net.forward(p, stacked), weights)[0]
-
-    state = mlp_net.AdamState(params)
+    init = mlp_net.init_params(len(columns), config, rng)
+    flat = mlp_net.flatten(init)
+    params = mlp_net.views(flat, init)
+    state = mlp_net.AdamState(flat)
     batch = config.batch_size
-    curve = [] if batch is None else [full_loss(params)]
-    for epoch in range(config.epochs):
-        if batch is None:
-            # the gradient pass yields the loss at the epoch's entry for free
-            params, entry_loss = _gradient_step(params, stacked, loss_and_grad, weights,
-                                                state, config)
-            curve.append(entry_loss)
-        else:
-            order = rng.permutation(n)
-            for start in range(0, n, batch):
-                rows = order[start:start + batch]
-                sub = np.vstack([block[rows] for block in blocks])
-                params, _ = _gradient_step(params, sub, loss_and_grad, weights[rows],
-                                           state, config)
-            curve.append(full_loss(params))
-        if not np.isfinite(curve[-1]):
-            raise TrainingDivergedError(
-                f"training loss became non-finite at epoch {epoch} (loss={curve[-1]!r})")
-    final = full_loss(params) if batch is None else curve[-1]
-    if not np.isfinite(final):
+    full_grad = map_grad / n  # its map-term rows never change
+
+    def full_loss() -> float:
+        return _mlp_loss(mlp_net.forward(params, inputs.T), full_grad, n)
+
+    curve = []
+    # overflow here is the divergence signal, not a numerical accident to warn on
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            if batch is None:
+                batches = [(inputs, full_grad, n)]
+            else:
+                curve.append(full_loss())
+                order = rng.permutation(n)
+                batches = (_minibatch(inputs, map_grad, n, order[start:start + batch])
+                           for start in range(0, n, batch))
+            for x, grad_out, rows in batches:
+                loss, grad = _mlp_gradient(params, x, grad_out, rows)
+                state.step(flat, grad, config)
+            if batch is None:
+                curve.append(loss)  # the gradient pass yields the epoch's entry loss
+            if not np.isfinite(curve[-1]):
+                raise TrainingDivergedError(
+                    f"training loss became non-finite at epoch {epoch} (loss={curve[-1]!r})")
+        curve.append(full_loss())
+    if not np.isfinite(curve[-1]):
         raise TrainingDivergedError(
-            f"training loss became non-finite after epoch {config.epochs} (loss={final!r})")
-    if batch is None:
-        curve.append(final)
-    return MlpRieszFit(columns, params, config, final, np.asarray(curve))
+            f"training loss became non-finite after epoch {config.epochs} (loss={curve[-1]!r})")
+    return MlpRieszFit(columns, mlp_net.unflatten(flat, params), config, curve[-1],
+                       np.asarray(curve))
 
 
 def _mlp_problem(fmap: FunctionalMap, data, weights, columns):
-    """The network's view of the Riesz loss: the input column order, the
-    observed rows followed by one block of rows per map term, the checked
-    weights, and ``loss_and_grad(out, weights)``, which returns the loss of
-    outputs stacked that way and its gradient with respect to each output."""
+    """The network's view of the Riesz loss: the input column order; the
+    inputs, feature-major (columns, rows), of the observed rows followed by
+    one block of rows per map term; the row count n; and the map terms'
+    gradient of the loss with respect to each output, times the row count
+    (-2 * coef * w on a term row, 0 on an observed row)."""
     cols, n = as_columns(data)
     weights = _check_weights(weights, n)
     if columns is None:
@@ -236,52 +238,50 @@ def _mlp_problem(fmap: FunctionalMap, data, weights, columns):
         columns = tuple(fmap.free_vars) + tuple(assigned)
     columns = tuple(columns)
     schema = data if isinstance(data, Dataset) else None
-    terms = [(coef, _stack(overridden, columns))
-             for coef, overridden in term_columns(fmap, cols, n, schema)]
-    blocks = [_stack(cols, columns)] + [x for _, x in terms]
-
-    def loss_and_grad(out: np.ndarray, w: np.ndarray):
-        rows = len(w)
-        value = float(np.mean(out[:rows] ** 2))
-        grad_out = np.empty_like(out)
-        grad_out[:rows] = 2.0 * out[:rows] / rows
-        for t, (coef, _) in enumerate(terms, start=1):
-            block = slice(t * rows, (t + 1) * rows)
-            value -= 2.0 * coef * float(np.mean(w * out[block]))
-            grad_out[block] = -2.0 * coef * w / rows
-        return value, grad_out
-
-    return columns, blocks, weights, loss_and_grad
+    terms = list(term_columns(fmap, cols, n, schema))
+    blocks = [cols] + [overridden for _, overridden in terms]
+    inputs = np.empty((len(columns), len(blocks) * n))
+    for row, c in enumerate(columns):
+        np.concatenate([np.asarray(block[c], dtype=np.float64) for block in blocks],
+                       out=inputs[row])
+    map_grad = np.concatenate([np.zeros(n)] + [-2.0 * coef * weights for coef, _ in terms])
+    return columns, inputs, n, map_grad
 
 
-def _gradient_step(params, stacked, loss_and_grad, weights, state, config):
-    # overflow here is the divergence signal, not a numerical accident to warn on
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, cache = mlp_net.forward_cached(params, stacked)
-    loss, grad_out = loss_and_grad(out, weights)
-    if not np.isfinite(loss):
-        raise TrainingDivergedError(
-            f"training loss became non-finite after {state.t} updates (loss={loss!r})")
-    grads = mlp_net.backward(params, cache, grad_out)
-    return state.step(params, grads, config), loss
+def _minibatch(inputs, map_grad, n: int, rows):
+    """The batch of training ``rows``, stacked as ``_mlp_problem`` stacks all
+    rows: (inputs, output gradient with the map-term rows set, row count)."""
+    index = (rows + np.arange(0, len(map_grad), n)[:, None]).ravel()
+    return inputs[:, index], map_grad[index] / len(rows), len(rows)
+
+
+def _mlp_gradient(params, x, grad_out, rows: int):
+    """Loss and flat parameter gradient on a batch of ``rows`` observed rows
+    followed by their term rows, feature-major. ``grad_out`` holds the map
+    terms' output gradient; its observed rows are overwritten."""
+    out, activations = mlp_net.forward_cached(params, x.T)
+    loss = _mlp_loss(out, grad_out, rows)
+    grad_out[:rows] = 2.0 * out[:rows] / rows
+    return loss, mlp_net.backward(params, activations, grad_out)
+
+
+def _mlp_loss(out, grad_out, rows: int) -> float:
+    """mean(f^2) over the observed rows minus 2 * mean(w * m(f)), the second
+    part being the map-term rows of ``grad_out`` dotted with their outputs."""
+    return float(out[:rows] @ out[:rows] / rows + grad_out[rows:] @ out[rows:])
 
 
 def mlp_loss_gradients(fmap: FunctionalMap, data, config: MlpConfig, weights=None,
                        columns=None, step: float = 1e-5):
     """Analytic vs central-finite-difference loss gradients at the seeded
-    initialization; returns (analytic, numeric) flat arrays."""
-    columns, blocks, weights, loss_and_grad = _mlp_problem(fmap, data, weights, columns)
-    stacked = np.vstack(blocks)
+    initialization; returns (analytic, numeric) flat arrays. The analytic
+    gradient is the one full-batch training steps on."""
+    columns, inputs, n, map_grad = _mlp_problem(fmap, data, weights, columns)
     params = mlp_net.init_params(len(columns), config, substream(config.seed))
-
-    out, cache = mlp_net.forward_cached(params, stacked)
-    analytic = mlp_net.flatten(
-        mlp_net.backward(params, cache, loss_and_grad(out, weights)[1]))
-
-    def loss_of(p) -> float:
-        return loss_and_grad(mlp_net.forward(p, stacked), weights)[0]
-
-    numeric = mlp_net.numeric_gradient(loss_of, params, step=step)
+    grad_out = map_grad / n
+    analytic = _mlp_gradient(params, inputs, grad_out, n)[1]
+    numeric = mlp_net.numeric_gradient(
+        lambda p: _mlp_loss(mlp_net.forward(p, inputs.T), grad_out, n), params, step=step)
     return analytic, numeric
 
 

@@ -11,6 +11,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACER = Path(__file__).resolve().parents[1] / "rrbench" / "tracer.py"
@@ -36,3 +37,36 @@ def test_tracer_target_exists(span):
         assert attr in vars(getattr(module, cls_name)), f"{module_name}.{path}"
     else:
         assert hasattr(module, path), f"{module_name}.{path}"
+
+
+def test_mlp_counters_count_one_full_batch_step_per_epoch(monkeypatch, discrete_data):
+    """``mlp.rows`` sums ``forward_cached``'s ``x.shape[0]`` and
+    ``riesz.mlp_epochs`` is ``len(loss_curve) - 1``: a full-batch fit makes
+    one forward pass over every stacked row, one ``backward`` and one Adam
+    step per epoch."""
+    from rieszreg import MlpConfig, builtin_spec, fit_mlp
+    from rieszreg import mlp as net
+
+    calls = {"forward_cached": [], "backward": 0, "step": 0}
+    forward_cached, backward, step = net.forward_cached, net.backward, net.AdamState.step
+
+    def counted_forward(params, x):
+        calls["forward_cached"].append(x.shape[0])
+        return forward_cached(params, x)
+
+    def counted_backward(*args):
+        calls["backward"] += 1
+        return backward(*args)
+
+    def counted_step(self, *args):
+        calls["step"] += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(net, "forward_cached", counted_forward)
+    monkeypatch.setattr(net, "backward", counted_backward)
+    monkeypatch.setattr(net.AdamState, "step", counted_step)
+    fmap = builtin_spec("ate").stage(2).fmap
+    data = discrete_data.subset(np.arange(120))
+    fit = fit_mlp(fmap, data, MlpConfig(epochs=7, seed=3), columns=("A", "W"))
+    assert calls["forward_cached"] == [(len(fmap.terms) + 1) * data.n] * 7
+    assert calls["backward"] == calls["step"] == len(fit.loss_curve) - 1 == 7
