@@ -27,6 +27,9 @@ the outcome regression and the stage-2 weight.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 
@@ -253,6 +256,8 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
     if settings.riesz_method == "sieve":
         policies.append(settings.riesz_basis)
     designs.hold_shared([arm for arm, _ in arms], policies, settings.degree)
+    if settings.riesz_method == "mlp" and designs.folds > 1:
+        _fit_networks([arm for arm, _ in arms], designs, settings)
     report, *others = [_estimate_concrete(arm, designs, settings, seed, name)
                        for arm, name in arms]
     if others:
@@ -320,6 +325,45 @@ def _estimate_concrete(spec: EstimandSpec, designs: FoldDesigns,
         name=name, theta_hat=theta_hat, plug_in=plug_in, eif_values=eif_values,
         std_error=se, ci=_interval(theta_hat, se, settings.level), n=n, folds=folds,
         seed=seed, per_fold=per_fold, diagnostics={"clipped_weights": clipped})
+
+
+_INHERITED: list = []  # a forked network worker's [(specs, designs, settings)]
+
+
+def _fit_networks(specs, designs: FoldDesigns, settings: EstimatorSettings) -> None:
+    """Fit every fold's network chains for every arm into ``designs.fits``,
+    one task per fold, on forked workers when more than one core is usable:
+    they inherit the data and send back only the fits they made. Each fit is
+    seeded per stage, so the fits equal the serial ones."""
+    job, folds = (specs, designs, settings), range(designs.folds)
+    workers = _network_workers(designs.folds)
+    if workers < 2:
+        made = list(map(_fold_networks, folds, [job] * designs.folds))
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_INHERITED.append, initargs=(job,)) as pool:
+            made = list(pool.map(_fold_networks, folds))
+    for pairs in made:
+        designs.fits.update(pairs)
+
+
+def _network_workers(folds: int) -> int:
+    """One per fold up to the usable cores; one (serial) without fork or in a
+    multiprocessing child, e.g. a benchmark replicate, whose parent uses them."""
+    if (multiprocessing.parent_process() is not None or not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return min(folds, len(os.sched_getaffinity(0)))
+
+
+def _fold_networks(v: int, job=None) -> list:
+    """Fit fold v's network chains; return the (key, fit) pairs added."""
+    specs, designs, settings = job if job is not None else _INHERITED[0]
+    before = set(designs.fits)
+    for spec in specs:
+        fit_sequential(spec, designs.fold(v), method="mlp", basis_policy=settings.riesz_basis,
+                       degree=settings.degree, ridge=settings.ridge, mlp_config=settings.mlp)
+    return [(key, fit) for key, fit in designs.fits.items() if key not in before]
 
 
 def _held_out(fit, designs: FoldDesigns, rows: slice) -> np.ndarray:

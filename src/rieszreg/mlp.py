@@ -77,43 +77,56 @@ def views(flat: np.ndarray, template):
     return params
 
 
-def forward(params, x: np.ndarray) -> np.ndarray:
+def forward(params, x: np.ndarray, work=None) -> np.ndarray:
     """Network output per row of ``x`` (rows, inputs)."""
-    return _forward(params, x)[0]
+    return _forward(params, x, work)[0]
 
 
-def forward_cached(params, x: np.ndarray):
+def forward_cached(params, x: np.ndarray, work=None):
     """Forward pass keeping the activations for ``backward``."""
-    return _forward(params, x)
+    return _forward(params, x, work)
 
 
-def _forward(params, x: np.ndarray):
+def _buffer(work: dict, slot, shape, dtype=np.float64) -> np.ndarray:
+    """The ``shape`` buffer of ``slot`` in ``work``, a dict that every pass of
+    one fit shares, so that a training step allocates none."""
+    if (slot, shape) not in work:
+        work[slot, shape] = np.empty(shape, dtype)
+    return work[slot, shape]
+
+
+def _forward(params, x: np.ndarray, work=None):
     """(output per row, activations). Activations are feature-major, (width,
     rows), so bias adds broadcast along the long axis and ``backward`` sums
     contiguous rows; pass ``x`` F-ordered to make ``x.T`` C-contiguous. A
     unit's pre-activation is positive exactly where its activation is."""
+    work = {} if work is None else work
     activations = [x.T]
-    for weights, bias in params[:-1]:
-        z = weights.T @ activations[-1]
+    for layer, (weights, bias) in enumerate(params):
+        z = np.matmul(weights.T, activations[-1], out=_buffer(work, layer, (bias.size, len(x))))
         z += bias[:, None]
-        activations.append(np.maximum(z, 0.0, out=z))
-    weights, bias = params[-1]
-    final = weights.T @ activations[-1]
-    final += bias[:, None]
-    return final[0], activations
+        if layer < len(params) - 1:
+            activations.append(np.maximum(z, 0.0, out=z))
+    return z[0], activations
 
 
-def backward(params, activations, grad_out: np.ndarray) -> np.ndarray:
+def backward(params, activations, grad_out: np.ndarray, work=None) -> np.ndarray:
     """Flat parameter gradient, laid out as ``flatten``, given d(loss)/d(output)
-    per row."""
-    grad = np.empty(sum(w.size + b.size for w, b in params))
+    per row; given ``work`` (see ``_buffer``), it is the buffer ``work`` holds."""
+    work = {} if work is None else work
+    if "grad" not in work:
+        grad = np.empty(sum(w.size + b.size for w, b in params))
+        work["grad"] = grad, list(enumerate(views(grad, params)))[::-1]
+    grad, layers = work["grad"]
     delta = grad_out[None, :]
-    for layer, (gw, gb) in reversed(list(enumerate(views(grad, params)))):
+    for layer, (gw, gb) in layers:
         np.matmul(activations[layer], delta.T, out=gw)
-        delta.sum(axis=1, out=gb)
+        np.add.reduce(delta, axis=1, out=gb)
         if layer > 0:
-            delta = params[layer][0] @ delta
-            delta *= activations[layer] > 0.0
+            shape = activations[layer].shape
+            delta = np.matmul(params[layer][0], delta,
+                              out=_buffer(work, ("delta", layer % 2), shape))
+            delta *= np.greater(activations[layer], 0.0, out=_buffer(work, "mask", shape, bool))
     return grad
 
 

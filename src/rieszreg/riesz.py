@@ -192,11 +192,12 @@ def fit_mlp(fmap: FunctionalMap, data, config: MlpConfig, weights=None,
     flat = mlp_net.flatten(init)
     params = mlp_net.views(flat, init)
     state = mlp_net.AdamState(flat)
+    work = {}  # buffers that every pass of this fit reuses
     batch = config.batch_size
     full_grad = map_grad / n  # its map-term rows never change
 
     def full_loss() -> float:
-        return _mlp_loss(mlp_net.forward(params, inputs.T), full_grad, n)
+        return _mlp_loss(mlp_net.forward(params, inputs.T, work), full_grad, n)
 
     curve = []
     # overflow here is the divergence signal, not a numerical accident to warn on
@@ -210,7 +211,7 @@ def fit_mlp(fmap: FunctionalMap, data, config: MlpConfig, weights=None,
                 batches = (_minibatch(inputs, map_grad, n, order[start:start + batch])
                            for start in range(0, n, batch))
             for x, grad_out, rows in batches:
-                loss, grad = _mlp_gradient(params, x, grad_out, rows)
+                loss, grad = _mlp_gradient(params, x, grad_out, rows, work)
                 state.step(flat, grad, config)
             if batch is None:
                 curve.append(loss)  # the gradient pass yields the epoch's entry loss
@@ -255,14 +256,15 @@ def _minibatch(inputs, map_grad, n: int, rows):
     return inputs[:, index], map_grad[index] / len(rows), len(rows)
 
 
-def _mlp_gradient(params, x, grad_out, rows: int):
+def _mlp_gradient(params, x, grad_out, rows: int, work=None):
     """Loss and flat parameter gradient on a batch of ``rows`` observed rows
     followed by their term rows, feature-major. ``grad_out`` holds the map
-    terms' output gradient; its observed rows are overwritten."""
-    out, activations = mlp_net.forward_cached(params, x.T)
+    terms' output gradient; its observed rows are overwritten. The passes
+    write into the buffers of ``work`` when given."""
+    out, activations = mlp_net.forward_cached(params, x.T, work)
     loss = _mlp_loss(out, grad_out, rows)
-    grad_out[:rows] = 2.0 * out[:rows] / rows
-    return loss, mlp_net.backward(params, activations, grad_out)
+    np.divide(np.multiply(out[:rows], 2.0, out=grad_out[:rows]), rows, out=grad_out[:rows])
+    return loss, mlp_net.backward(params, activations, grad_out, work)
 
 
 def _mlp_loss(out, grad_out, rows: int) -> float:

@@ -1,14 +1,21 @@
 import json
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from rieszreg import (
     DegenerateFoldError,
+    DiscreteDgp,
     Dataset,
     EstimatorSettings,
     NonFiniteEifError,
     SchemaError,
+    TrainingDivergedError,
     assemble_eif,
     builtin_spec,
     closed_form_representer,
@@ -23,7 +30,8 @@ from rieszreg import (
     truth_oracle,
     verify_orthogonality,
 )
-from rieszreg import Basis, basis as basis_module, nuisance, riesz, substream
+from rieszreg import Basis, basis as basis_module, estimator, nuisance, riesz, substream
+from rieszreg.bench import BenchTask, run_task
 from rieszreg.basis import FoldDesigns
 from rieszreg.estimands import spec_from_document
 from rieszreg.estimator import _fold_order, _stage_values
@@ -396,13 +404,26 @@ class TestArmSharing:
         self._assert_arms_standalone(spec_from_document(OUTER_CONTRAST_DOC),
                                      appendix_data, settings)
 
-    def test_nde_fit_counts(self, appendix_data, monkeypatch):
+    def test_nde_fit_counts(self, appendix_data, monkeypatch, tmp_path):
         logistic = _count_calls(monkeypatch, nuisance, "fit_logistic")
         one_step_estimate(builtin_spec("nde"), appendix_data, folds=5, seed=4)
         assert len(logistic) == 5  # one outcome regression per fold, not per arm
-        mlp = _count_calls(monkeypatch, riesz, "fit_mlp")
-        one_step_estimate(builtin_spec("nde"), appendix_data, self.MLP, folds=5, seed=4)
-        assert len(mlp) == 15  # the stage-2 weight once, the stage-3 weight per arm
+        # networks may train in forked workers, so each call appends its pid to a file
+        log, fit_mlp = tmp_path / "fit_mlp.log", riesz.fit_mlp
+
+        def logged(*args, **kwargs):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()}\n")
+            return fit_mlp(*args, **kwargs)
+
+        monkeypatch.setattr(riesz, "fit_mlp", logged)
+        for workers in (1, 2):
+            monkeypatch.setattr(estimator, "_network_workers", lambda folds: workers)
+            log.write_text("")
+            one_step_estimate(builtin_spec("nde"), appendix_data, self.MLP, folds=5, seed=4)
+            pids = log.read_text().split()
+            assert len(pids) == 15  # the stage-2 weight once, the stage-3 weight per arm
+            assert (str(os.getpid()) in pids) == (workers == 1)
 
     def test_single_estimand_fit_counts(self, discrete_data, monkeypatch):
         calls = [_count_calls(monkeypatch, nuisance, "fit_logistic"),
@@ -446,6 +467,102 @@ class TestArmSharing:
             want, _ = fit_folds(spec, FoldDesigns(appendix_data, order, bounds), **kwargs)
             for a, b in zip(sum(got, []), sum(want, [])):
                 assert a.family == b.family and np.array_equal(a.coef, b.coef)
+
+
+def _report_json(spec, data, settings, folds, workers, monkeypatch):
+    """The estimate's report with the networks trained by ``workers`` fold
+    workers (1 = serial, in process)."""
+    monkeypatch.setattr(estimator, "_network_workers", lambda folds: workers)
+    report = one_step_estimate(spec, data, settings, folds=folds, seed=3)
+    assert multiprocessing.active_children() == []
+    return json.dumps(report.to_dict())
+
+
+def _forks_during_estimate(args):
+    """(forks, report) of an estimate run in a process-pool worker."""
+    forks = []
+    os.register_at_fork(before=lambda: forks.append(1))
+    return len(forks), json.dumps(one_step_estimate(*args).to_dict())
+
+
+class TestForkedNetworkFolds:
+    """Every fold's networks train in forked workers when more than one core
+    is usable; the reports equal the serial path's byte for byte, errors are
+    the serial path's, and no worker outlives the estimate."""
+
+    SPECS = {"nde": builtin_spec("nde"), "ate": builtin_spec("ate"),
+             "outer_contrast": spec_from_document(OUTER_CONTRAST_DOC)}
+
+    @pytest.mark.parametrize("folds", [2, 5])
+    @pytest.mark.parametrize("batch", [None, 128], ids=["full", "batch128"])
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_reports_equal_serial(self, appendix_dgp, discrete_dgp, name, batch, folds,
+                                  monkeypatch):
+        data = simulate(discrete_dgp if name == "ate" else appendix_dgp, 500, 8)
+        settings = EstimatorSettings(riesz_method="mlp", min_rows_per_fold=50,
+                                     mlp=MlpConfig(epochs=25, batch_size=batch, seed=folds))
+        serial, forked = (_report_json(self.SPECS[name], data, settings, folds, workers,
+                                       monkeypatch) for workers in (1, 2))
+        assert forked == serial
+
+    @hypothesis_settings(max_examples=8, deadline=None, derandomize=True)
+    @given(layers=st.integers(1, 3), width=st.integers(1, 6), epochs=st.integers(0, 12),
+           batch=st.one_of(st.none(), st.integers(8, 200)), seed=st.integers(0, 2**31),
+           rate=st.floats(1e-4, 0.1))
+    def test_random_configs_equal_serial(self, layers, width, epochs, batch, seed, rate):
+        data = simulate(DiscreteDgp(), 240, 5)
+        settings = EstimatorSettings(riesz_method="mlp", min_rows_per_fold=40, mlp=MlpConfig(
+            hidden_layers=layers, width=width, epochs=epochs, batch_size=batch, seed=seed,
+            learning_rate=rate))
+        with pytest.MonkeyPatch.context() as patch:
+            serial, forked = (_report_json(builtin_spec("ate"), data, settings, 3, workers,
+                                           patch) for workers in (1, 2))
+        assert forked == serial
+
+    def test_divergence_in_a_worker_raises_as_serial(self, appendix_data, monkeypatch):
+        settings = EstimatorSettings(riesz_method="mlp",
+                                     mlp=MlpConfig(learning_rate=1e150, epochs=30))
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(TrainingDivergedError) as err:
+                _report_json(builtin_spec("nde"), appendix_data, settings, 5, workers,
+                             monkeypatch)
+            raised.append((type(err.value), str(err.value)))
+            assert multiprocessing.active_children() == []
+        assert raised[0] == raised[1]
+
+    @pytest.mark.parametrize("lr,code", [("0.01", 0), ("1e150", 4)], ids=["ok", "diverged"])
+    def test_cli_exit_code_equals_serial(self, tmp_path, monkeypatch, lr, code):
+        from rieszreg.cli import main
+        data = tmp_path / "d.csv"
+        assert main(["simulate", "--dgp", "appendix", "--n", "400", "--seed", "2",
+                     "--out", str(data)]) == 0
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(estimator, "_network_workers", lambda folds: workers)
+            out = tmp_path / "r.json"  # the report hashes the command line
+            assert main(["estimate", "--data", str(data), "--spec", "nde", "--method", "mlp",
+                         "--mlp-epochs", "20", "--mlp-lr", lr, "--folds", "4", "--seed", "2",
+                         "--out", str(out)]) == code
+            outputs.append(out.read_bytes() if code == 0 else None)
+            assert multiprocessing.active_children() == []
+        assert outputs[0] == outputs[1]
+
+    def test_estimate_in_a_pool_worker_forks_nothing(self, appendix_dgp, monkeypatch):
+        args = (builtin_spec("nde"), simulate(appendix_dgp, 300, 4),
+                EstimatorSettings(riesz_method="mlp", mlp=MlpConfig(epochs=10)), 3, 3)
+        with ProcessPoolExecutor(1) as pool:
+            forks, report = pool.submit(_forks_during_estimate, args).result(timeout=300)
+        assert forks == 0
+        assert report == _report_json(*args[:4], 1, monkeypatch)
+
+    def test_benchmark_replicates_equal_serial(self, appendix_dgp):
+        task = BenchTask(appendix_dgp, builtin_spec("nde"), n=300, replicates=2, folds=3,
+                         seed=5, settings=EstimatorSettings(riesz_method="mlp",
+                                                            mlp=MlpConfig(epochs=10)))
+        rows = [[{k: v for k, v in row.items() if k != "seconds"}
+                 for row in run_task(task, threads=threads)] for threads in (1, 2)]
+        assert rows[0] == rows[1]
 
 
 def _reference_cross_fit(spec, data, settings, folds, seed):

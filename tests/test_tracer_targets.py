@@ -50,9 +50,9 @@ def test_mlp_counters_count_one_full_batch_step_per_epoch(monkeypatch, discrete_
     calls = {"forward_cached": [], "backward": 0, "step": 0}
     forward_cached, backward, step = net.forward_cached, net.backward, net.AdamState.step
 
-    def counted_forward(params, x):
+    def counted_forward(params, x, *rest):
         calls["forward_cached"].append(x.shape[0])
-        return forward_cached(params, x)
+        return forward_cached(params, x, *rest)
 
     def counted_backward(*args):
         calls["backward"] += 1
