@@ -1,15 +1,26 @@
-"""Shared normal-equation solver used by the Riesz and nuisance sieves."""
+"""Shared numeric kernels: the sieves' normal-equation solver and expit."""
 
 from __future__ import annotations
 
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import RieszregError, SchemaError, SingularGramError
 
 CONDITION_WARN_THRESHOLD = 1e10
+
+
+def expit(x, out=None):
+    """The logistic function 1 / (1 + exp(-x)) in float64, quiet where exp
+    overflows; ``out`` may be ``x`` itself, and a scalar gives a scalar."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.negative(x, out=out if out is not None else np.empty_like(x))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return out if out.ndim else out[()]
 
 
 def default_ridge(gram: np.ndarray) -> float:
@@ -37,14 +48,15 @@ def solve_normal_equations(gram, rhs, ridge, what="Gram matrix"):
             f"check map coefficients and weights for overflow")
     regularized = gram + ridge * np.eye(gram.shape[0])
     try:
-        factor = cho_factor(regularized)
-    except LinAlgError:
+        factor = np.linalg.cholesky(regularized)  # regularized = factor @ factor.T
+    except np.linalg.LinAlgError:
         hint = "increase the ridge penalty or reduce the basis" if ridge == 0 \
             else "reduce the basis"
         raise SingularGramError(
             f"{what} is singular or indefinite (ridge={ridge!r}); {hint}") from None
-    x = cho_solve(factor, rhs)
-    x = x + cho_solve(factor, rhs - regularized @ x)
+    x = np.zeros_like(rhs)
+    for _ in range(2):  # a solve, then one iterative-refinement step
+        x = x + np.linalg.solve(factor.T, np.linalg.solve(factor, rhs - regularized @ x))
     condition = float(np.linalg.cond(regularized))
     if condition > CONDITION_WARN_THRESHOLD:
         warnings.warn(

@@ -9,7 +9,6 @@ replicates run serially or on a process pool.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +63,8 @@ def run_task(task: BenchTask, threads: int = 1) -> list[dict]:
     reps = range(task.replicates)
     if threads <= 1 or task.replicates == 1:
         return [run_replicate(task, rep) for rep in reps]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only when pooling
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         rows = list(pool.map(run_replicate, [task] * task.replicates, reps,
                              chunksize=max(1, task.replicates // (4 * threads))))

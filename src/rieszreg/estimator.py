@@ -27,9 +27,7 @@ the outcome regression and the stage-2 weight.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 
@@ -340,6 +338,9 @@ def _fit_networks(specs, designs: FoldDesigns, settings: EstimatorSettings) -> N
     if workers < 2:
         made = list(map(_fold_networks, folds, [job] * designs.folds))
     else:
+        import multiprocessing  # the pool machinery loads only for network estimates
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_INHERITED.append, initargs=(job,)) as pool:
             made = list(pool.map(_fold_networks, folds))
@@ -350,6 +351,8 @@ def _fit_networks(specs, designs: FoldDesigns, settings: EstimatorSettings) -> N
 def _network_workers(folds: int) -> int:
     """One per fold up to the usable cores; one (serial) without fork or in a
     multiprocessing child, e.g. a benchmark replicate, whose parent uses them."""
+    import multiprocessing
+
     if (multiprocessing.parent_process() is not None or not hasattr(os, "sched_getaffinity")
             or "fork" not in multiprocessing.get_all_start_methods()):
         return 1

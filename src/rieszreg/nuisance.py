@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from ._linalg import default_ridge, solve_normal_equations
+from ._linalg import default_ridge, expit, solve_normal_equations
 from .basis import Basis, FoldDesigns, as_designs, intercept_basis, make_basis
 from .data import Dataset
 from .errors import NonConvergenceError, SchemaError

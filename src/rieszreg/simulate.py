@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
+from ._linalg import expit
 from .data import Column, Dataset, as_columns, constant_one
 from .errors import RieszregError, SchemaError
 from .estimands import EstimandSpec

@@ -1,0 +1,49 @@
+import warnings
+
+import numpy as np
+import pytest
+
+from rieszreg import SingularGramError
+from rieszreg._linalg import expit, solve_normal_equations
+
+SPECIALS = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+
+
+def _inputs():
+    rng = np.random.default_rng(12)
+    return np.concatenate([rng.normal(0.0, 3.0, 20000),
+                           rng.uniform(-745.0, 745.0, 20000), SPECIALS])
+
+
+def test_expit_within_four_ulp_of_scipy():
+    special = pytest.importorskip("scipy.special")
+    x = _inputs()
+    np.testing.assert_array_max_ulp(expit(x), special.expit(x), maxulp=4)
+
+
+def test_expit_limits_and_scalars():
+    np.testing.assert_array_equal(expit(SPECIALS), [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, np.nan])
+    for scalar in (0.0, np.float64(0.0), np.array(0.0)):
+        value = expit(scalar)
+        assert np.ndim(value) == 0 and value == 0.5
+
+
+def test_expit_overflow_is_quiet():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as under python -W error
+        np.testing.assert_array_equal(expit(np.array([800.0, -800.0])), [1.0, 0.0])
+        assert (expit(800.0), expit(-800.0)) == (1.0, 0.0)
+
+
+def test_expit_in_place_equals_fresh():
+    x = _inputs()
+    fresh = expit(x)
+    assert expit(x, out=x) is x
+    np.testing.assert_array_equal(x.view(np.uint64), fresh.view(np.uint64))
+
+
+@pytest.mark.parametrize("ridge,hint", [(0.0, "increase the ridge"), (0.5, "reduce the basis")])
+def test_indefinite_system_refused(ridge, hint):
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    with pytest.raises(SingularGramError, match=f"indefinite.*{hint}"):
+        solve_normal_equations(indefinite, np.ones(2), ridge)
