@@ -62,7 +62,6 @@ from .riesz import (  # noqa: F401
     fit_mlp,
     fit_sequential,
     fit_sieve,
-    map_bound_probe,
     mlp_loss_gradients,
     representation_residuals,
     riesz_loss,

@@ -3,14 +3,16 @@
 A Basis is an ordered list of monomial features: products of integer powers
 of columns, with the intercept always first. The same bases back both the
 Riesz sieves and the nuisance regressions, which is what makes the empirical
-orthogonality identities between them exact. ``FoldDesigns``, one per
-estimate, evaluates each design once, serves the fitters its fold blocks and
-memoizes their fits.
+orthogonality identities between them exact. A map that assigns columns
+acts on a basis span as a matrix on the coefficients (``Basis.substitution``).
+``FoldDesigns``, one per estimate, evaluates each observed design once,
+serves the fitters its fold blocks and memoizes their fits.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .data import CHUNK, Dataset, as_columns
 from .errors import SchemaError
-from .estimands import term_columns
+from .estimands import check_assignments
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,25 @@ class Basis:
         out = np.empty((n, self.dim)) if out is None else out
         for j, feat in enumerate(self.features):
             out[:, j] = feat.evaluate(cols, n)
+        return out
+
+    def substitution(self, assignments) -> np.ndarray:
+        """The (dim, dim) matrix T with ``design(columns with assignments
+        applied) == design(columns) @ T``. Assigning columns leaves a feature
+        a constant times the feature of its other columns, which the basis
+        must hold; every basis policy's bases do."""
+        values = dict(assignments)
+        index = {feat: i for i, feat in enumerate(self.features)}
+        out = np.zeros((self.dim, self.dim))
+        for j, feat in enumerate(self.features):
+            kept = [(c, p) for c, p in zip(feat.columns, feat.powers) if c not in values]
+            rest = Feature(tuple(c for c, _ in kept), tuple(p for _, p in kept))
+            if rest not in index:
+                raise SchemaError(
+                    f"basis lacks feature {rest.label!r}, which assigning "
+                    f"{', '.join(sorted(values))} leaves of feature {feat.label!r}")
+            out[index[rest], j] = math.prod(float(values[c]) ** p for c, p
+                                            in zip(feat.columns, feat.powers) if c in values)
         return out
 
 
@@ -148,13 +169,15 @@ class FoldDesigns:
     fold, each fold's rows one contiguous block; a plain dataset is one block.
 
     Fitters read the blocks in ``train`` (see ``fold``) and take per-row
-    arrays spanning all rows. Sieve statistics are sums over rows, so each
-    block's Gram and cross blocks are formed once, and a fold's training
-    statistics are the sum of its training blocks. A design without
-    assignments is held once evaluated, and one with assignments once passed
-    to ``hold`` (see ``hold_shared``); any other is evaluated by each pass in
-    pieces of at most ``CHUNK`` rows. ``fits`` memoizes the fits made on
-    these rows, keyed by every setting a fit reads.
+    arrays spanning all rows. Only observed designs are evaluated, each once
+    and held (see ``hold``): a map term acts on a sieve through its
+    coefficients, its design being D T with T the term's
+    ``Basis.substitution``, so no design with assignments applied is formed.
+    Sieve statistics are sums over rows, so each block's product D_u^T W_u
+    of two held designs is formed once; it gives the Gram blocks and, times
+    the map's substitution, the cross blocks, and a fold's training
+    statistics are the sum of its training blocks. ``fits`` memoizes the fits
+    made on these rows, keyed by every setting a fit reads.
     """
 
     def __init__(self, data, order=None, bounds=None):
@@ -165,7 +188,7 @@ class FoldDesigns:
         self.bounds = (0, self.n) if bounds is None else tuple(int(b) for b in bounds)
         self.folds = len(self.bounds) - 1
         self.train, self.n_train = tuple(range(self.folds)), self.n
-        self._held, self._grams, self._cross, self.fits = {}, {}, {}, {}
+        self._held, self._products, self.fits = {}, {}, {}
 
     def block(self, u: int) -> slice:
         return slice(self.bounds[u], self.bounds[u + 1])
@@ -192,106 +215,76 @@ class FoldDesigns:
             for start in range(self.bounds[u], self.bounds[u + 1], CHUNK):
                 yield u, slice(start, min(start + CHUNK, self.bounds[u + 1]))
 
-    def hold_shared(self, specs, policies, degree: int) -> None:
-        """Hold, in one allocation, each stage's observed design and each map
-        design that the stage maps of ``specs`` read more than once (for a
-        contrast, those of the maps both arms share), under each basis
-        policy. Any other map design is read by one pass and streamed."""
-        observed, mapped = [], []
-        for spec in specs:
-            for stage in reversed(spec.stages):  # innermost first, as the fits run
-                for policy in sorted(set(policies)):
-                    basis = make_basis(policy, stage.given, self.data, degree)
-                    observed.append((basis, ()))
-                    mapped += [(basis, term.assignments) for term in stage.fmap.terms]
-        self.hold(observed + [key for key in mapped if mapped.count(key) > 1])
-
-    def hold(self, keys) -> None:
-        """Evaluate the (basis, assignments) designs not yet held end to end
-        in one allocation, so that they are allocated and freed as a whole."""
-        keys = [key for key in dict.fromkeys(keys) if key not in self._held]
-        memory, start = np.empty(self.n * sum(basis.dim for basis, _ in keys)), 0
-        for basis, assignments in keys:
-            cols = dict(self.cols)
-            cols.update((name, np.full(self.n, value)) for name, value in assignments)
+    def hold(self, bases) -> None:
+        """Evaluate the designs of ``bases`` not yet held end to end in one
+        allocation, so that they are allocated and freed as a whole."""
+        bases = [basis for basis in dict.fromkeys(bases) if basis not in self._held]
+        memory, start = np.empty(self.n * sum(basis.dim for basis in bases)), 0
+        for basis in bases:
             out = memory[start:start + self.n * basis.dim].reshape(self.n, basis.dim)
-            self._held[basis, assignments] = basis.design(cols, out=out)
+            self._held[basis] = basis.design(self.cols, out=out)
             start += out.size
 
-    def design(self, basis: Basis, assignments=()) -> np.ndarray:
-        """The held design of ``basis`` on every row, assignments applied."""
-        if (basis, assignments) not in self._held:
-            self.hold([(basis, assignments)])
-        return self._held[basis, assignments]
-
-    def gram(self, basis: Basis) -> np.ndarray:
-        """Mean of feature products over the training rows."""
-        if basis not in self._grams:
-            blocks = [self.design(basis)[self.block(u)] for u in range(self.folds)]
-            self._grams[basis] = [block.T @ block for block in blocks]
-        return sum(self._grams[basis][u] for u in self.train) / self.n_train
+    def design(self, basis: Basis) -> np.ndarray:
+        """The held design of ``basis`` on every row."""
+        if basis not in self._held:
+            self.hold([basis])
+        return self._held[basis]
 
     # an overflow leaves the blocks non-finite, which solve_normal_equations refuses
     @np.errstate(over="ignore", invalid="ignore")
+    def products(self, basis: Basis, weight: Basis) -> list:
+        """Per block u, D_u^T W_u, D and W being the held designs of
+        ``basis`` and ``weight``."""
+        if (basis, weight) not in self._products:
+            design, weights = self.design(basis), self.design(weight)
+            self._products[basis, weight] = [design[self.block(u)].T @ weights[self.block(u)]
+                                             for u in range(self.folds)]
+        return self._products[basis, weight]
+
+    def gram(self, basis: Basis) -> np.ndarray:
+        """Mean of feature products over the training rows."""
+        return sum(self.products(basis, basis)[u] for u in self.train) / self.n_train
+
+    @np.errstate(over="ignore", invalid="ignore")
     def cross(self, basis: Basis, fmap, weight) -> list:
         """Per block u, the sum over the map's terms of coef * M_u^T W_u, M
-        being the term's design of ``basis``. ``weight`` is a basis, whose
-        held design is W (every block is read and the blocks are kept), or
-        per-row values W (the training blocks are read)."""
-        held = isinstance(weight, Basis)
-        if held and (basis, fmap, weight) in self._cross:
-            return self._cross[basis, fmap, weight]
-        weights = self.design(weight) if held else weight[:, None]
-        cross = [0.0] * self.folds
-        for u, rows, terms in self._map_pieces(basis, fmap, held):
-            for coef, design in terms:
-                cross[u] += coef * (design.T @ weights[rows])
-        if held:
-            self._cross[basis, fmap, weight] = cross
-        return cross
+        being the term's design of ``basis``: S^T D_u^T W_u, S being the sum
+        of coef * T over the terms, T the term's ``Basis.substitution``.
+        ``weight`` is a basis, whose held design is W (every block is read),
+        or per-row values W (the training blocks)."""
+        check_assignments(fmap, self.schema)
+        mapping = sum(term.coef * basis.substitution(term.assignments) for term in fmap.terms)
+        if isinstance(weight, Basis):
+            return [mapping.T @ block for block in self.products(basis, weight)]
+        design = self.design(basis)
+        return [mapping.T @ (design[self.block(u)].T @ weight[self.block(u), None])
+                if u in self.train else 0.0 for u in range(self.folds)]
 
     @np.errstate(over="ignore", invalid="ignore")
     def map_values(self, basis: Basis, fmap, coefs: np.ndarray, link, weight: Basis):
-        """Map values t = sum over terms of coef * link(M @ coefs), with one
-        column of ``coefs`` per fold, in one pass for every fold. Returns
-        (held_out, targets): t's column u on each block u, and per block u
-        the target block W_u^T t_u, W being the held design of ``weight``.
-        The pass also keeps ``cross(basis, fmap, weight)``, so that a
-        streamed M is evaluated once."""
-        weights = self.design(weight)
-        held_out, targets, cross = np.empty(self.n), [0.0] * self.folds, [0.0] * self.folds
-        for u, rows, terms in self._map_pieces(basis, fmap, True):
+        """Map values t = sum over terms of coef * link(D @ (T @ coefs)), D
+        being the held design of ``basis`` and T the term's substitution,
+        with one column of ``coefs`` per fold, in one pass for every fold.
+        Returns (held_out, targets): t's column u on each block u, and per
+        block u the target block W_u^T t_u, W being the held design of
+        ``weight``."""
+        check_assignments(fmap, self.schema)
+        terms = [(term.coef, basis.substitution(term.assignments) @ coefs)
+                 for term in fmap.terms]
+        design, weights = self.design(basis), self.design(weight)
+        held_out, targets = np.empty(self.n), [0.0] * self.folds
+        for u, rows in self.pieces(range(self.folds)):
             mapped = 0.0
-            for coef, design in terms:
-                index = design @ coefs
+            for coef, mapped_coefs in terms:
+                index = design[rows] @ mapped_coefs
                 if link is not None:
                     link(index, out=index)
                 index *= coef
                 mapped = mapped + index
-                cross[u] += coef * (design.T @ weights[rows])
             held_out[rows] = mapped[:, u]
             targets[u] += weights[rows].T @ mapped
-        self._cross[basis, fmap, weight] = cross
         return held_out, targets
-
-    def _map_pieces(self, basis: Basis, fmap, every_block: bool):
-        """(block, rows, terms) per piece of every block, or of the training
-        blocks; terms yields (coef, M) per map term, M being the term's
-        design on the piece: a slice of the held design, or the piece
-        evaluated into one buffer, which the next term reuses."""
-        held = [self.design(basis) if not term.assignments
-                else self._held.get((basis, term.assignments)) for term in fmap.terms]
-        buffer = np.empty((min(CHUNK, self.n), basis.dim))
-
-        def terms(rows):
-            cols = {name: col[rows] for name, col in self.cols.items()}
-            overrides = term_columns(fmap, cols, rows.stop - rows.start, self.schema)
-            for design, (coef, overridden) in zip(held, overrides):
-                yield coef, (design[rows] if design is not None
-                             else basis.design(overridden, out=buffer[:rows.stop - rows.start]))
-
-        for u, rows in self.pieces(range(self.folds) if every_block else self.train):
-            yield u, rows, terms(rows)
 
 
 def as_designs(data) -> FoldDesigns:

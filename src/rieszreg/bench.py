@@ -16,7 +16,7 @@ import numpy as np
 from .errors import SchemaError
 from .estimands import EstimandSpec
 from .estimator import EstimatorSettings, one_step_estimate
-from .simulate import simulate, truth_oracle
+from .simulate import oracle_value, simulate, truth_report
 
 
 @dataclass(frozen=True)
@@ -96,12 +96,14 @@ def summarize(task: BenchTask, rows: list[dict], truth: float) -> dict:
 
 
 def run_benchmark(tasks: list[BenchTask], threads: int = 1) -> list[dict]:
-    """One summary row per task; truth comes from the independent oracle."""
+    """One summary row per task; truth comes from the independent oracle,
+    whose ``truth_report`` the row keeps under "truth_report"."""
     table = []
     for task in tasks:
-        truth = truth_oracle(task.spec, task.dgp)
+        report = truth_report(task.spec, task.dgp)
+        truth = oracle_value(report)
         rows = run_task(task, threads=threads)
-        table.append(summarize(task, rows, truth))
+        table.append({**summarize(task, rows, truth), "truth_report": report})
     return table
 
 

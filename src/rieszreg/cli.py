@@ -29,7 +29,7 @@ from .errors import RieszregError, SchemaError
 from .estimands import BUILTIN_NAMES, builtin_spec, parse_spec
 from .estimator import EstimatorSettings, one_step_estimate
 from .mlp import MlpConfig
-from .simulate import DGPS, simulate, truth_report
+from .simulate import DGPS, simulate
 from .verify import CHECKS, run_checks
 
 EXIT_OK = 0
@@ -270,7 +270,7 @@ def _cmd_benchmark(args) -> int:
         fh.write(benchmark_csv(table))
     meta = {"config_sha256": _config_hash(args), "seed": args.seed,
             "threads": args.threads, "tasks": len(tasks),
-            "truth_reports": [truth_report(t.spec, t.dgp) for t in tasks]}
+            "truth_reports": [row["truth_report"] for row in table]}
     write_json(f"{out}.meta.json", meta)
     print(benchmark_csv(table), end="")
     print(f"wrote {out} ({len(table)} rows)")

@@ -69,10 +69,6 @@ class FunctionalMap:
     def assigned_vars(self) -> set[str]:
         return {name for term in self.terms for name in term.assigned()}
 
-    @property
-    def is_identity(self) -> bool:
-        return len(self.terms) == 1 and self.terms[0].coef == 1.0 and not self.terms[0].assignments
-
 
 @dataclass(frozen=True)
 class Stage:
@@ -412,10 +408,10 @@ def apply_map(fmap: FunctionalMap, fn, data):
     return float(out[0]) if scalar else out
 
 
-def term_columns(fmap: FunctionalMap, cols, n: int, schema: Dataset | None = None):
-    """Yield (coef, columns-with-assignments-applied) for each map term."""
+def check_assignments(fmap: FunctionalMap, schema: Dataset | None = None) -> None:
+    """Refuse a contrast parameter slot and, given a schema, a constant
+    outside the assigned column's declared support."""
     for term in fmap.terms:
-        overridden = dict(cols)
         for name, value in term.assignments:
             if value == CONTRAST_TOKEN:
                 raise SpecValidationError(
@@ -423,5 +419,12 @@ def term_columns(fmap: FunctionalMap, cols, n: int, schema: Dataset | None = Non
             if schema is not None and not schema.column_def(name).admits(value):
                 raise SchemaError(
                     f"assignment {name} = {value} lies outside the declared support of {name!r}")
-            overridden[name] = np.full(n, value)
+
+
+def term_columns(fmap: FunctionalMap, cols, n: int, schema: Dataset | None = None):
+    """Yield (coef, columns-with-assignments-applied) for each map term."""
+    check_assignments(fmap, schema)
+    for term in fmap.terms:
+        overridden = dict(cols)
+        overridden.update((name, np.full(n, value)) for name, value in term.assignments)
         yield term.coef, overridden

@@ -34,7 +34,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import __version__
-from .basis import FoldDesigns
+from .basis import FoldDesigns, make_basis
 from .data import Dataset
 from .errors import DegenerateFoldError, NonFiniteEifError, RieszregError, SchemaError
 from .estimands import EstimandSpec, apply_map, validate_binding
@@ -64,6 +64,11 @@ class EstimatorSettings:
             raise SchemaError(f"clip must be finite and positive when given, got {self.clip!r}")
         if not 0.0 < self.level < 1.0:
             raise SchemaError(f"level must lie in (0, 1), got {self.level!r}")
+        if not self.min_rows_per_fold >= 1:
+            raise SchemaError(f"min_rows_per_fold must be >= 1, got {self.min_rows_per_fold!r}")
+        if (isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer))
+                or self.degree < 1):
+            raise SchemaError(f"degree must be an integer >= 1, got {self.degree!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -240,9 +245,9 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
     report the difference with its own influence-based standard error.
 
     One ``FoldDesigns`` sorts the rows by fold, so each fold is one block:
-    each design is evaluated once per estimate, fits read summed fold blocks
-    and are memoized in ``designs.fits`` for both arms, and held-out values
-    are slices of the held designs.
+    only each stage's observed design is evaluated, once per estimate; fits
+    read summed fold blocks and are memoized in ``designs.fits`` for both
+    arms, and held-out values are slices of the held designs.
     """
     settings = settings if settings is not None else EstimatorSettings()
     validate_binding(spec, data)
@@ -253,7 +258,8 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
     policies = [settings.nuisance_basis]
     if settings.riesz_method == "sieve":
         policies.append(settings.riesz_basis)
-    designs.hold_shared([arm for arm, _ in arms], policies, settings.degree)
+    designs.hold(make_basis(policy, stage.given, data, settings.degree)
+                 for stage in reversed(spec.stages) for policy in policies)
     if settings.riesz_method == "mlp" and designs.folds > 1:
         _fit_networks([arm for arm, _ in arms], designs, settings)
     report, *others = [_estimate_concrete(arm, designs, settings, seed, name)

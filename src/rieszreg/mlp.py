@@ -38,6 +38,10 @@ class MlpConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise SchemaError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "beta1", "beta2", "adam_eps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
+                raise SchemaError(f"{name} must be a number, got {value!r}")
         if not all(0.0 <= beta < 1.0 for beta in (self.beta1, self.beta2)):
             raise SchemaError(f"beta1 and beta2 must lie in [0, 1), got "
                               f"{self.beta1!r} and {self.beta2!r}")

@@ -151,10 +151,10 @@ def fit_folds(spec: EstimandSpec, designs: FoldDesigns, basis_policy: str = "def
     Returns (fits, mapped): fits[k-1][v] is fold v's Q_k, and on block v
     mapped[k] is m_{k+1}(x; Q_{k+1}) of fold v's fit, for k = 0..K (mapped[0]
     is the plug-in map, mapped[K] the outcome). Below K, one pass over stage
-    k+1's map designs serves every fold: each fold's target is known by the
-    blocks D_u^T t_u of its pseudo-outcome t on stage k's design D, whose
-    training blocks its least squares sums, and the pass leaves the cross
-    blocks of the map with D for the Riesz fit of stage k+1.
+    k+1's held observed design serves every fold, each map term acting on
+    the fits' coefficients through its substitution matrix: each fold's
+    target is known by the blocks D_u^T t_u of its pseudo-outcome t on stage
+    k's design D, whose training blocks its least squares sums.
 
     ``designs.fits`` hands back fits already made for the same stage chain
     and settings: Q_k is keyed by the settings, stage k's conditioning set

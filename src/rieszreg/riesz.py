@@ -155,22 +155,6 @@ def representation_residuals(fit: SieveRieszFit, fmap: FunctionalMap, data,
     return lhs - rhs
 
 
-def map_bound_probe(fmap: FunctionalMap, basis: Basis, data, trials: int = 100,
-                    seed: int = 0) -> float:
-    """Empirical boundedness diagnostic: max |mean m(.; f)| over random
-    basis-span functions f scaled to unit empirical L2 norm."""
-    _, gram, rhs = _sieve_system(basis, fmap, data, None)
-    rng = substream(seed)
-    worst = 0.0
-    for _ in range(trials):
-        direction = rng.standard_normal(basis.dim)
-        norm = float(np.sqrt(direction @ gram @ direction))
-        if norm == 0.0:
-            continue
-        worst = max(worst, abs(float(rhs @ direction)) / norm)
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # MLP fitting
 # ---------------------------------------------------------------------------

@@ -288,22 +288,25 @@ def _stage_regressions(spec: EstimandSpec, dgp, nodes: int):
     return theta, regressions
 
 
-def truth_oracle(spec: EstimandSpec, dgp, nodes: int = GH_NODES_DEFAULT,
-                 doubling_check: bool = True) -> float:
-    """Ground-truth estimand value under the DGP law.
+def truth_oracle(spec: EstimandSpec, dgp, nodes: int = GH_NODES_DEFAULT) -> float:
+    """Ground-truth estimand value under the DGP law: ``truth_report``'s
+    value, checked by ``oracle_value``.
 
-    Contrast specs return the difference of the two instantiated arms. When
-    quadrature is involved, the node count is doubled and the two values must
-    agree to 1e-9, guarding the documented 1e-8 absolute accuracy.
+    Contrast specs return the difference of the two instantiated arms.
     """
-    theta = _truth_value(spec, dgp, nodes)
-    if doubling_check and dgp.has_mediator:
-        refined = _truth_value(spec, dgp, 2 * nodes)
-        if abs(refined - theta) > QUADRATURE_DOUBLING_TOL:
-            raise RieszregError(
-                f"quadrature not converged: {nodes} vs {2 * nodes} nodes differ by "
-                f"{abs(refined - theta):.3e}")
-    return theta
+    return oracle_value(truth_report(spec, dgp, nodes))
+
+
+def oracle_value(report: dict) -> float:
+    """The value of a ``truth_report``. When quadrature is involved, its
+    value at twice the node count must agree to 1e-9, guarding the
+    documented 1e-8 absolute accuracy."""
+    quadrature = report["quadrature"]
+    if quadrature["doubling_gap"] > QUADRATURE_DOUBLING_TOL:
+        raise RieszregError(
+            f"quadrature not converged: {quadrature['nodes']} vs {2 * quadrature['nodes']} "
+            f"nodes differ by {quadrature['doubling_gap']:.3e}")
+    return report["theta"]
 
 
 def _truth_value(spec: EstimandSpec, dgp, nodes: int) -> float:

@@ -219,6 +219,22 @@ class TestErrorCodes:
         assert meta["truth_reports"][0]["spec"] == "ate"
         assert meta["truth_reports"][0]["theta"] == pytest.approx(0.25)
 
+    def test_benchmark_computes_each_truth_once(self, tmp_path, monkeypatch):
+        simulate_module = sys.modules["rieszreg.simulate"]
+        calls = []
+        quadrature = simulate_module._truth_value
+        monkeypatch.setattr(simulate_module, "_truth_value",
+                            lambda *args: calls.append(args[2]) or quadrature(*args))
+        out = tmp_path / "t.csv"
+        run("benchmark", "--dgp", "appendix", "--spec", "nde", "--n", "300",
+            "--replicates", "1", "--folds", "2", "--min-rows-per-fold", "30",
+            "--seed", "5", "--out", str(out))
+        assert calls == [64, 128]  # the value and its doubling check, once
+        meta = json.loads((tmp_path / "t.csv.meta.json").read_text())
+        table = (tmp_path / "t.csv").read_text().splitlines()
+        truth = float(table[1].split(",")[table[0].split(",").index("truth")])
+        assert meta["truth_reports"][0]["theta"] == truth
+
 
 def _exit_code(argv):
     try:

@@ -7,6 +7,7 @@ from rieszreg import (
     CONTRAST_TOKEN,
     Column,
     Dataset,
+    MapTerm,
     SchemaError,
     SpecSyntaxError,
     SpecValidationError,
@@ -40,7 +41,7 @@ class TestParsing:
         assert inner.given == ("A", "W")
         assert [(t.coef, dict(t.assignments)) for t in inner.fmap.terms] == [
             (1.0, {"A": 1.0}), (-1.0, {"A": 0.0})]
-        assert spec.stage(1).fmap.is_identity
+        assert spec.stage(1).fmap.terms == (MapTerm(1.0, ()),)
         assert spec == builtin_spec("ate")
 
     def test_single_stage_subgroup_document(self):

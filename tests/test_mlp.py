@@ -50,6 +50,7 @@ class TestNetwork:
         {"adam_eps": -1e-8}, {"adam_eps": float("inf")}, {"learning_rate": float("nan")},
         {"learning_rate": float("inf")}, {"width": 2.5}, {"epochs": 2.5},
         {"batch_size": 2.5}, {"hidden_layers": True}, {"seed": 2.5},
+        {"learning_rate": True}, {"adam_eps": True}, {"beta1": False}, {"beta2": "0.9"},
     ], ids=repr)
     def test_corrupting_settings_refused(self, setting):
         with pytest.raises(SchemaError):

@@ -10,7 +10,6 @@ from rieszreg import (
     closed_form_representer,
     fit_sequential,
     fit_sieve,
-    map_bound_probe,
     representation_residuals,
     riesz_loss,
     saturated_basis,
@@ -136,12 +135,6 @@ class TestSieve:
                         weights=weights)
         recomputed = (riesz_loss(fit, spec.stage(3).fmap, appendix_data, weights))
         assert fit.fitted_loss == pytest.approx(recomputed, abs=1e-12)
-
-    def test_bound_probe_is_finite(self, appendix_data):
-        spec = builtin_spec("nde").instantiate(1.0)
-        bound = map_bound_probe(spec.stage(3).fmap, _rich_basis(appendix_data),
-                                appendix_data)
-        assert np.isfinite(bound) and bound > 0
 
 
 class TestSequential:

@@ -7,6 +7,7 @@ from rieszreg import (
     Column,
     Dataset,
     DiscreteDgp,
+    RieszregError,
     SchemaError,
     apply_map,
     builtin_spec,
@@ -17,6 +18,7 @@ from rieszreg import (
     truth_oracle,
     truth_report,
 )
+from rieszreg.simulate import oracle_value
 from conftest import mc_se
 
 
@@ -126,6 +128,13 @@ class TestTruthOracle:
         report = truth_report(builtin_spec("nde"), appendix_dgp)
         assert report["quadrature"]["doubling_gap"] <= 1e-9
         assert report["quadrature"]["nodes"] == 64
+
+    def test_oracle_is_the_checked_report_value(self, appendix_dgp):
+        report = truth_report(builtin_spec("nde"), appendix_dgp)
+        assert truth_oracle(builtin_spec("nde"), appendix_dgp) == report["theta"]
+        report["quadrature"]["doubling_gap"] = 2e-9
+        with pytest.raises(RieszregError, match="quadrature not converged: 64 vs 128 nodes"):
+            oracle_value(report)
 
     def test_spec_referencing_absent_variable_errors(self, discrete_dgp):
         with pytest.raises(SchemaError, match="mediator"):
