@@ -152,16 +152,19 @@ def default_basis(columns: Iterable[str], dataset: Dataset, degree: int = 2) -> 
     return Basis(tuple(dict.fromkeys(features)))
 
 
+BASIS_POLICIES = ("default", "saturated", "intercept")
+
+
 def make_basis(kind: str, columns: Iterable[str], dataset: Dataset, degree: int = 2) -> Basis:
-    """Resolve a basis policy name: "default", "saturated", or "intercept"."""
+    """Resolve a basis policy name, one of ``BASIS_POLICIES``."""
+    if kind not in BASIS_POLICIES:
+        raise SchemaError(f"unknown basis policy {kind!r}; expected {BASIS_POLICIES}")
     columns = tuple(columns)
     if kind == "intercept" or not columns:
         return intercept_basis()
     if kind == "saturated":
         return saturated_basis(columns, dataset)
-    if kind == "default":
-        return default_basis(columns, dataset, degree)
-    raise SchemaError(f"unknown basis policy {kind!r}")
+    return default_basis(columns, dataset, degree)
 
 
 class FoldDesigns:

@@ -65,11 +65,9 @@ def run_task(task: BenchTask, threads: int = 1) -> list[dict]:
         return [run_replicate(task, rep) for rep in reps]
     from concurrent.futures import ProcessPoolExecutor  # loaded only when pooling
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        rows = list(pool.map(run_replicate, [task] * task.replicates, reps,
+    with ProcessPoolExecutor(max_workers=threads) as pool:  # map yields in input order
+        return list(pool.map(run_replicate, [task] * task.replicates, reps,
                              chunksize=max(1, task.replicates // (4 * threads))))
-    rows.sort(key=lambda r: r["replicate"])
-    return rows
 
 
 def summarize(task: BenchTask, rows: list[dict], truth: float) -> dict:

@@ -23,12 +23,15 @@ import sys
 import numpy as np
 
 from . import __version__
+from .basis import BASIS_POLICIES
 from .bench import BenchTask, benchmark_csv, run_benchmark
 from .data import Dataset, write_json
 from .errors import RieszregError, SchemaError
 from .estimands import BUILTIN_NAMES, builtin_spec, parse_spec
 from .estimator import EstimatorSettings, one_step_estimate
 from .mlp import MlpConfig
+from .nuisance import OUTCOME_FAMILIES
+from .riesz import METHODS
 from .simulate import DGPS, simulate
 from .verify import CHECKS, run_checks
 
@@ -112,15 +115,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_method_flags(cmd) -> None:
-    cmd.add_argument("--method", choices=("sieve", "mlp"), default="sieve")
-    cmd.add_argument("--basis", choices=("default", "saturated", "intercept"),
-                     default="default", help="Riesz sieve basis policy")
-    cmd.add_argument("--nuisance-basis", choices=("default", "saturated", "intercept"),
-                     default="default")
+    cmd.add_argument("--method", choices=METHODS, default="sieve")
+    cmd.add_argument("--basis", choices=BASIS_POLICIES, default="default",
+                     help="Riesz sieve basis policy")
+    cmd.add_argument("--nuisance-basis", choices=BASIS_POLICIES, default="default")
     cmd.add_argument("--degree", type=_positive_int, default=2)
     cmd.add_argument("--ridge", type=_nonnegative_float, default=None,
                      help="ridge penalty (default: scale-aware; 0 = exact)")
-    cmd.add_argument("--outcome-family", choices=("logistic", "least_squares"),
+    cmd.add_argument("--outcome-family", choices=OUTCOME_FAMILIES,
                      default=None, help="innermost-stage family (default: by outcome type)")
     cmd.add_argument("--clip", type=_positive_float, default=None,
                      help="clip fitted |weights| at this bound")
@@ -189,8 +191,11 @@ def _resolve_spec(value: str):
         raise SchemaError(
             f"{value!r} is not a built-in estimand ({', '.join(BUILTIN_NAMES)}) "
             f"and no such document exists")
-    with open(value, encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+    try:
+        with open(value, encoding="utf-8") as fh:
+            return parse_spec(fh.read())
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"estimand document {value} is not UTF-8 text ({exc})") from None
 
 
 def _settings_from(args: argparse.Namespace) -> EstimatorSettings:

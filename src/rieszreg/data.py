@@ -39,8 +39,6 @@ def as_columns(data) -> tuple[dict, int]:
 # Rows (CSV) or array items (JSON) formatted and written per chunk, so a
 # writer never holds a whole file's text.
 CHUNK = 65536
-# Stands for a spliced array in the encoded skeleton of a JSON file.
-_SLOT = "\x00rieszreg:array\x00"
 
 
 def write_json(path, payload) -> None:
@@ -48,50 +46,36 @@ def write_json(path, payload) -> None:
     byte-identical to ``json.dump(payload, fh, indent=2)`` plus a newline.
 
     ``json.dump`` with an indent runs the pure-Python encoder on every item.
-    Here only the skeleton does: each nonempty array of numbers is swapped
-    for a slot, and its items are encoded by the C encoder chunk by chunk
-    and written where the slot stood."""
-    arrays = []
-    slot = json.dumps(_SLOT)
-    parts = json.dumps(_hollow(payload, arrays, 0), indent=2).split(slot)
+    Here nonempty containers are laid out item by item, scalars and empty
+    containers are ``json.dumps`` text, and a nonempty list of plain ints and
+    floats is encoded by the C encoder ``CHUNK`` items at a time, its ", "
+    separators turned into indented line breaks."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(parts[0])
-        for (values, depth), text in zip(arrays, parts[1:]):
-            if values is None:  # the payload's own copy of the slot string
-                fh.write(slot)
-            else:
-                indent = "\n" + "  " * (depth + 1)
-                fh.write("[" + indent)
-                for start in range(0, len(values), CHUNK):
-                    if start:
-                        fh.write("," + indent)
-                    fh.write(json.dumps(values[start:start + CHUNK])[1:-1]
-                             .replace(", ", "," + indent))
-                fh.write("\n" + "  " * depth + "]")
-            fh.write(text)
+        _write(fh, payload, "\n")
         fh.write("\n")
 
 
-def _hollow(value, arrays: list, depth: int):
-    """``value`` with each nonempty list or tuple of numbers replaced by the
-    slot and appended to ``arrays`` with its nesting depth, in the order the
-    encoder writes them. A key or string equal to the slot is appended as
-    None, so that every slot in the skeleton has its entry."""
-    if isinstance(value, dict):
-        hollow = {}
-        for key, item in value.items():
-            if key == _SLOT:
-                arrays.append((None, depth))
-            hollow[key] = _hollow(item, arrays, depth + 1)
-        return hollow
-    if isinstance(value, (list, tuple)):
-        if value and all(isinstance(item, (int, float)) for item in value):
-            arrays.append((value, depth))
-            return _SLOT
-        return [_hollow(item, arrays, depth + 1) for item in value]
-    if isinstance(value, str) and value == _SLOT:
-        arrays.append((None, depth))
-    return value
+def _write(fh, value, margin: str) -> None:
+    """Write ``value`` in the indent=2 layout; ``margin`` is a newline plus
+    the indent of the line its closing bracket goes on."""
+    inner = margin + "  "
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        fh.write(json.dumps(value))
+    elif isinstance(value, dict):  # each key as the encoder writes it, which coerces
+        for i, (key, item) in enumerate(value.items()):  # int, float, bool and None keys
+            fh.write(("," if i else "{") + inner + json.dumps({key: 0})[1:-4] + ": ")
+            _write(fh, item, inner)
+        fh.write(margin + "}")
+    elif set(map(type, value)) <= {int, float}:  # a number array: the C encoder per chunk
+        for start in range(0, len(value), CHUNK):
+            text = json.dumps(value[start:start + CHUNK])[1:-1]
+            fh.write(("," if start else "[") + inner + text.replace(", ", "," + inner))
+        fh.write(margin + "]")
+    else:
+        for i, item in enumerate(value):
+            fh.write(("," if i else "[") + inner)
+            _write(fh, item, inner)
+        fh.write(margin + "]")
 
 
 def constant_one(cols) -> np.ndarray:
@@ -116,9 +100,10 @@ class Column:
         if self.support == "binary":
             object.__setattr__(self, "levels", (0.0, 1.0))
         elif self.support == "categorical":
-            if len(self.levels) < 2:
-                raise SchemaError(f"categorical column {self.name!r} needs >= 2 levels")
-            object.__setattr__(self, "levels", tuple(float(v) for v in self.levels))
+            levels = tuple(float(v) for v in self.levels)
+            if len(levels) < 2 or len(set(levels)) < len(levels):
+                raise SchemaError(f"categorical column {self.name!r} needs >= 2 distinct levels")
+            object.__setattr__(self, "levels", levels)
 
     @property
     def is_discrete(self) -> bool:
@@ -226,16 +211,18 @@ class Dataset:
                 raise SchemaError(f"schema sidecar {sidecar} is malformed "
                                   f"({type(exc).__name__}: {exc})") from None
         expected = [c.name for c in schema]
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            if header != expected:
-                raise SchemaError(f"CSV header {header} does not match schema columns {expected}")
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header = fh.readline().strip().split(",")
+                if header != expected:
+                    raise SchemaError(f"CSV header {header} does not match schema {expected}")
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    raw = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2)
-            except ValueError:
-                raise _bad_cell(path, header) from None
+                    raw = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)  # "#" is data
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"CSV {path} is not UTF-8 text ({exc})") from None
+        except ValueError:
+            raise _bad_cell(path, header) from None
         if raw.shape[0] == 0:
             raise SchemaError(f"CSV {path} has a header but no data rows")
         cols = {name: raw[:, j].copy() for j, name in enumerate(header)}

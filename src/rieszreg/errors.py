@@ -6,6 +6,8 @@ estimand documents or dataset schemas, "numerical" for singular systems,
 divergence, and non-finite intermediate values, "io" for file problems.
 """
 
+from numbers import Integral, Real
+
 
 class RieszregError(Exception):
     category = "numerical"
@@ -54,3 +56,19 @@ class NonFiniteEifError(RieszregError):
 
 class DegenerateFoldError(RieszregError):
     """A cross-fitting fold is too small or misses a required level."""
+
+
+def require(ok: bool, what: str, value) -> None:
+    """Refuse a setting: a SchemaError saying ``what`` unless ``ok``."""
+    if not ok:
+        raise SchemaError(f"{what}, got {value!r}")
+
+
+def is_integer(value) -> bool:
+    """An int or numpy integer; a bool is a flag, not a count."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number (numpy's included) other than a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)

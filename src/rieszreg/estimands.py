@@ -373,15 +373,11 @@ def validate_binding(spec: EstimandSpec, dataset: Dataset) -> None:
             if col.name == outcome.name:
                 raise SchemaError(
                     f"stage {k} conditions on the outcome column {name!r}")
-        for source in (st.where, *[t.assignments for t in st.fmap.terms]):
-            for name, value in source:
-                col = dataset.column_def(name)
-                if value == CONTRAST_TOKEN:
-                    continue
-                if not col.admits(value):
-                    raise SchemaError(
-                        f"stage {k} assigns {name} = {value}, outside the declared "
-                        f"support of column {name!r}")
+        for name, value in (*st.where, *(pair for t in st.fmap.terms for pair in t.assignments)):
+            col = dataset.column_def(name)  # raises SchemaError if absent
+            if value != CONTRAST_TOKEN and not col.admits(value):
+                raise SchemaError(f"stage {k} assigns {name} = {value}, outside the declared "
+                                  f"support of column {name!r}")
 
 
 # ---------------------------------------------------------------------------

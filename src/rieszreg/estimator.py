@@ -34,13 +34,14 @@ from statistics import NormalDist
 import numpy as np
 
 from . import __version__
-from .basis import FoldDesigns, make_basis
+from .basis import BASIS_POLICIES, FoldDesigns, make_basis
 from .data import Dataset
-from .errors import DegenerateFoldError, NonFiniteEifError, RieszregError, SchemaError
+from .errors import (DegenerateFoldError, NonFiniteEifError, RieszregError, SchemaError,
+                     is_integer, is_real, require)
 from .estimands import EstimandSpec, apply_map, validate_binding
 from .mlp import MlpConfig
-from .nuisance import NuisanceFit, fit_folds
-from .riesz import SieveRieszFit, fit_sequential
+from .nuisance import OUTCOME_FAMILIES, NuisanceFit, fit_folds
+from .riesz import METHODS, SieveRieszFit, fit_sequential
 from .simulate import substream
 
 
@@ -48,8 +49,8 @@ from .simulate import substream
 class EstimatorSettings:
     """Knobs for one estimation run; defaults follow the house choices."""
 
-    riesz_method: str = "sieve"       # "sieve" or "mlp"
-    riesz_basis: str = "default"      # "default", "saturated", or "intercept"
+    riesz_method: str = "sieve"       # one of riesz.METHODS
+    riesz_basis: str = "default"      # one of basis.BASIS_POLICIES
     nuisance_basis: str = "default"
     degree: int = 2
     ridge: float | None = None        # None = scale-aware default, 0.0 = exact
@@ -60,15 +61,19 @@ class EstimatorSettings:
     level: float = 0.95
 
     def __post_init__(self):
-        if self.clip is not None and not (np.isfinite(self.clip) and self.clip > 0):
-            raise SchemaError(f"clip must be finite and positive when given, got {self.clip!r}")
-        if not 0.0 < self.level < 1.0:
-            raise SchemaError(f"level must lie in (0, 1), got {self.level!r}")
-        if not self.min_rows_per_fold >= 1:
-            raise SchemaError(f"min_rows_per_fold must be >= 1, got {self.min_rows_per_fold!r}")
-        if (isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer))
-                or self.degree < 1):
-            raise SchemaError(f"degree must be an integer >= 1, got {self.degree!r}")
+        for name, names in (("riesz_method", METHODS), ("riesz_basis", BASIS_POLICIES),
+                            ("nuisance_basis", BASIS_POLICIES),
+                            ("outcome_family", (None, *OUTCOME_FAMILIES))):
+            require(getattr(self, name) in names, f"{name} must be one of {names}",
+                    getattr(self, name))
+        require(self.ridge is None or is_real(self.ridge) and 0 <= self.ridge < np.inf,
+                "ridge must be None or finite and >= 0", self.ridge)
+        require(self.clip is None or is_real(self.clip) and 0 < self.clip < np.inf,
+                "clip must be None or finite and positive", self.clip)
+        require(is_real(self.level) and 0 < self.level < 1, "level must lie in (0, 1)", self.level)
+        for name in ("min_rows_per_fold", "degree"):
+            value = getattr(self, name)
+            require(is_integer(value) and value >= 1, f"{name} must be an integer >= 1", value)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -188,8 +193,7 @@ class _StageValues:
     clipped: int
 
 
-def _stage_values(spec: EstimandSpec, alphas, nuisances, data: Dataset,
-                  clip: float | None = None) -> _StageValues:
+def _stage_values(spec: EstimandSpec, alphas, nuisances, data: Dataset) -> _StageValues:
     """Stage values of fits given as callables, evaluated on ``data``."""
     depth = spec.depth
     if len(alphas) != depth or len(nuisances) != depth:
@@ -201,10 +205,10 @@ def _stage_values(spec: EstimandSpec, alphas, nuisances, data: Dataset,
     mapped = [apply_map(spec.stage(k + 1).fmap, nuisances[k], data) for k in range(depth)]
     return _parts([np.asarray(fit(cols), dtype=np.float64) for fit in alphas],
                   [np.asarray(fit(cols), dtype=np.float64) for fit in nuisances[1:]],
-                  mapped + [data.column(data.outcome.name)], clip)
+                  mapped + [data.column(data.outcome.name)])
 
 
-def _parts(alphas, regressions, mapped, clip: float | None) -> _StageValues:
+def _parts(alphas, regressions, mapped, clip: float | None = None) -> _StageValues:
     """D_k = a_k * (m_{k+1}(x; Q_{k+1}) - Q_k(x)) for k = 2..K from per-row
     weights a_1..a_K, regressions Q_2..Q_K and maps mapped[0..K]."""
     clipped = 0
@@ -250,6 +254,8 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
     arms, and held-out values are slices of the held designs.
     """
     settings = settings if settings is not None else EstimatorSettings()
+    require(is_integer(folds) and folds >= 1, "folds must be an integer >= 1", folds)
+    require(is_integer(seed) and seed >= 0, "seed must be an integer >= 0", seed)
     validate_binding(spec, data)
     order, bounds = _fold_order(spec, data, folds, seed, settings.min_rows_per_fold)
     designs = FoldDesigns(data, order, bounds)
@@ -394,8 +400,6 @@ def _fold_order(spec: EstimandSpec, data: Dataset, folds: int, seed: int,
     """The rows sorted by fold, in their original order within each fold,
     and the offsets of the fold blocks in that order."""
     n = data.n
-    if folds < 1:
-        raise SchemaError(f"fold count must be >= 1, got {folds}")
     if n // folds < min_rows:
         raise DegenerateFoldError(
             f"{folds} folds over {n} rows leaves fewer than {min_rows} rows per fold; "

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import is_integer, is_real, require
 
 
 @dataclass(frozen=True)
@@ -32,30 +32,17 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("hidden_layers", "width", "epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if value is None and name == "batch_size":
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise SchemaError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "beta1", "beta2", "adam_eps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.number)):
-                raise SchemaError(f"{name} must be a number, got {value!r}")
-        if not all(0.0 <= beta < 1.0 for beta in (self.beta1, self.beta2)):
-            raise SchemaError(f"beta1 and beta2 must lie in [0, 1), got "
-                              f"{self.beta1!r} and {self.beta2!r}")
-        if not (np.isfinite(self.adam_eps) and self.adam_eps > 0):
-            raise SchemaError(f"adam_eps must be finite and positive, got {self.adam_eps!r}")
-        if self.hidden_layers < 1 or self.width < 1:
-            raise SchemaError("hidden_layers and width must be positive")
-        if self.epochs < 0:
-            raise SchemaError("epochs must be >= 0")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise SchemaError(f"learning rate must be finite and positive, "
-                              f"got {self.learning_rate!r}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise SchemaError("batch size must be positive when given")
+        for name, low in (("hidden_layers", 1), ("width", 1), ("epochs", 0), ("seed", 0)):
+            num = getattr(self, name)
+            require(is_integer(num) and num >= low, f"{name} must be an integer >= {low}", num)
+        require(self.batch_size is None or is_integer(self.batch_size) and self.batch_size >= 1,
+                "batch_size must be None or an integer >= 1", self.batch_size)
+        for name in ("beta1", "beta2"):
+            num = getattr(self, name)
+            require(is_real(num) and 0 <= num < 1, f"{name} must lie in [0, 1)", num)
+        for name in ("learning_rate", "adam_eps"):
+            num = getattr(self, name)
+            require(is_real(num) and 0 < num < np.inf, f"{name} must be finite and positive", num)
 
 
 def init_params(n_inputs: int, config: MlpConfig, rng: np.random.Generator):

@@ -141,6 +141,9 @@ def fit_all_stages(spec: EstimandSpec, data: Dataset, basis_policy: str = "defau
     return [stage[0] for stage in fits]
 
 
+OUTCOME_FAMILIES = ("logistic", "least_squares")
+
+
 def fit_folds(spec: EstimandSpec, designs: FoldDesigns, basis_policy: str = "default",
               degree: int = 2, ridge: float | None = None,
               outcome_family: str | None = None):
@@ -165,8 +168,8 @@ def fit_folds(spec: EstimandSpec, designs: FoldDesigns, basis_policy: str = "def
     depth, dataset = spec.depth, designs.data
     binary = dataset.outcome.support == "binary"
     family = outcome_family or ("logistic" if binary else "least_squares")
-    if family not in ("logistic", "least_squares"):
-        raise SchemaError(f"unknown nuisance family {family!r}")
+    if family not in OUTCOME_FAMILIES:
+        raise SchemaError(f"unknown nuisance family {family!r}; expected {OUTCOME_FAMILIES}")
     fits, mapped = [None] * depth, [None] * (depth + 1)
     mapped[depth] = dataset.column(dataset.outcome.name)
     targets, key = [mapped[depth]] * designs.folds, None

@@ -275,6 +275,9 @@ def mlp_loss_gradients(fmap: FunctionalMap, data, config: MlpConfig, weights=Non
 # Sequential fitting for nested estimands
 # ---------------------------------------------------------------------------
 
+METHODS = ("sieve", "mlp")
+
+
 def fit_sequential(spec: EstimandSpec, data, method: str = "sieve",
                    basis_policy: str = "default", degree: int = 2,
                    ridge: float | None = None, mlp_config: MlpConfig | None = None) -> list:
@@ -291,8 +294,8 @@ def fit_sequential(spec: EstimandSpec, data, method: str = "sieve",
     """
     if spec.is_contrast:
         raise SchemaError("instantiate contrast specs before fitting representers")
-    if method not in ("sieve", "mlp"):
-        raise SchemaError(f"unknown Riesz method {method!r}")
+    if method not in METHODS:
+        raise SchemaError(f"unknown Riesz method {method!r}; expected {METHODS}")
     if method == "mlp" and mlp_config is None:
         mlp_config = MlpConfig()
     designs = as_designs(data)

@@ -53,13 +53,9 @@ class CheckResult:
 
 def _concrete_builtins():
     """The four built-ins with the mediation spec instantiated per arm."""
-    out = []
-    for name in ("mean_treated", "ate", "att_control_mean"):
-        out.append((name, builtin_spec(name)))
     nde = builtin_spec("nde")
-    out.append(("nde[a'=1]", nde.instantiate(1.0)))
-    out.append(("nde[a'=0]", nde.instantiate(0.0)))
-    return out
+    return ([(name, builtin_spec(name)) for name in ("mean_treated", "ate", "att_control_mean")]
+            + [(f"nde[a'={arm:g}]", nde.instantiate(arm)) for arm in (1.0, 0.0)])
 
 
 def check_representation(seed: int = 0, flip_sign: bool = False) -> CheckResult:
@@ -227,10 +223,8 @@ def run_checks(names=None, seed: int = 0, flip_sign: bool = False) -> list[Check
     for name in names:
         if name not in CHECKS:
             raise SchemaError(f"unknown check {name!r}; expected one of {sorted(CHECKS)}")
-        if name == "representation":
-            results.append(check_representation(seed=seed, flip_sign=flip_sign))
-        else:
-            results.append(CHECKS[name](seed=seed))
+        flags = {"flip_sign": flip_sign} if name == "representation" else {}
+        results.append(CHECKS[name](seed=seed, **flags))
     return results
 
 

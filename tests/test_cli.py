@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rieszreg
+from rieszreg import Column, Dataset
 from rieszreg.cli import main
 from rieszreg.estimands import builtin_spec, format_spec, parse_spec
 
@@ -280,6 +286,18 @@ def _coef_spec(tmp_path, coef):
     return _estimate(tmp_path, "--spec", str(path))
 
 
+def _undecodable_csv(tmp_path, header=b"W,A,Y", cell=b"1"):
+    argv = _estimate(tmp_path)
+    (tmp_path / "bad.csv").write_bytes(header + b"\n1,0,1\n0," + cell + b",0\n")
+    return argv
+
+
+def _undecodable_spec(tmp_path):
+    path = tmp_path / "ate.json"
+    path.write_bytes(b"\xff" + format_spec(builtin_spec("ate")).encode())
+    return _estimate(tmp_path, "--spec", str(path))
+
+
 def _benchmark(tmp_path, *flags):
     return ["benchmark", "--spec", "ate", "--replicates", "1", "--seed", "1",
             "--out", str(tmp_path / "t.csv"), *flags]
@@ -300,6 +318,13 @@ BAD_INPUTS = [
     ("non-numeric cell", lambda t: _estimate(t, body="1,0,1\n0,x,0\n"), {}, 3,
      "line 3, column 'A'"),
     ("ragged row", lambda t: _estimate(t, body="1,0,1\n0,1\n"), {}, 3, "line 3 has 2 cells"),
+    ("undecodable cell", lambda t: _undecodable_csv(t, cell=b"\xff\xfe"), {}, 3,
+     "bad.csv is not UTF-8"),
+    ("undecodable header", lambda t: _undecodable_csv(t, header=b"W,\xff\xfeA,Y"), {}, 3,
+     "bad.csv is not UTF-8"),
+    ("undecodable document", _undecodable_spec, {}, 3, "ate.json is not UTF-8"),
+    ("comment-like cell", lambda t: _estimate(t, body="1,0,1\n#0,1,0\n" * 40), {}, 3,
+     "line 3, column 'W': '#0' is not a number"),
     ("truncated sidecar", lambda t: _sidecar(t, '{"columns": ['), {}, 3, "bad.csv.schema.json"),
     ("sidecar without columns", lambda t: _sidecar(t, '{"cols": []}'), {}, 3,
      "bad.csv.schema.json"),
@@ -336,6 +361,69 @@ def test_bad_input_exit_codes(argv, env, code, says, tmp_path, monkeypatch, caps
     err = capsys.readouterr().err
     assert says in err and "Traceback" not in err, err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], caught
+
+
+def _tiny_estimate(folder: Path) -> list:
+    """Valid estimate arguments on a tiny CSV, its sidecar and the ate document."""
+    w, a, y = (np.tile(np.repeat([0.0, 1.0], 2 ** k), 40 // 2 ** k) for k in range(3))
+    schema = (Column("W", "covariate", "binary"), Column("A", "treatment", "binary"),
+              Column("Y", "outcome", "binary"))
+    Dataset(schema, {"W": w, "A": a, "Y": y}).to_csv(folder / "d.csv")
+    (folder / "ate.json").write_text(format_spec(builtin_spec("ate")))
+    return ["estimate", "--data", str(folder / "d.csv"), "--spec", str(folder / "ate.json"),
+            "--folds", "2", "--min-rows-per-fold", "10", "--seed", "1",
+            "--out", str(folder / "r.json")]
+
+
+def test_tiny_estimate_inputs_are_valid(tmp_path):
+    assert main(_tiny_estimate(tmp_path)) == 0
+
+
+def _decodes(raw: bytes) -> bool:
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+undecodable = st.binary(min_size=1, max_size=6).filter(lambda raw: not _decodes(raw))
+# no float literal, Python's or numpy's, holds any of these characters
+non_numbers = st.tuples(st.text(max_size=4), st.sampled_from("x?#/"),
+                        st.text(max_size=4)).map("".join)
+MALFORMED = ("header bytes", "cell bytes", "document bytes", "sidecar bytes",
+             "non-number cell", "ragged row")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(how=st.sampled_from(MALFORMED), draw=st.data())
+def test_malformed_input_ends_with_exit_3(how, draw):
+    with tempfile.TemporaryDirectory() as tmp:
+        folder = Path(tmp)
+        argv = _tiny_estimate(folder)
+        name = {"document bytes": "ate.json", "sidecar bytes": "d.csv.schema.json"}
+        path = folder / name.get(how, "d.csv")
+        raw = path.read_bytes()
+        if how in ("document bytes", "sidecar bytes"):
+            at = draw.draw(st.integers(0, len(raw)))
+            raw = raw[:at] + draw.draw(undecodable) + raw[at:]
+        else:
+            lines = raw.split(b"\n")  # header, 40 rows, then the empty text after the last LF
+            row = 0 if how == "header bytes" else draw.draw(st.integers(1, len(lines) - 2))
+            cells = lines[row].split(b",")
+            col = draw.draw(st.integers(0, len(cells) - 1))
+            if how in ("header bytes", "cell bytes"):
+                at = draw.draw(st.integers(0, len(cells[col])))
+                cells[col] = cells[col][:at] + draw.draw(undecodable) + cells[col][at:]
+            elif how == "non-number cell":
+                cells[col] = draw.draw(non_numbers).encode()
+            else:  # one cell dropped or one added
+                cells = cells[:col] + cells[col + 1:] if draw.draw(st.booleans()) else cells + [b"0"]
+            lines[row] = b",".join(cells)
+            raw = b"\n".join(lines)
+        path.write_bytes(raw)
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 3
 
 
 def _child_env() -> dict:

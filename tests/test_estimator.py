@@ -339,6 +339,45 @@ def test_bad_fold_size_and_degree_are_refused(setting):
         EstimatorSettings(**setting)
 
 
+# each of these ran with a silently wrong value (True as 1 fold or ridge 1, a
+# fractional seed as its floor, a basis the network never reads) or failed only
+# after every regression was fitted
+BAD_ARGUMENTS = [
+    ("fractional folds", {}, {"folds": 2.5}),
+    ("boolean folds", {}, {"folds": True}),
+    ("negative seed", {}, {"seed": -3}),
+    ("fractional seed", {}, {"seed": 1.5}),
+    ("boolean ridge", {"ridge": True}, {}),
+    ("string ridge", {"ridge": "0.1"}, {}),
+    ("boolean clip", {"clip": True}, {}),
+    ("fractional min_rows_per_fold", {"min_rows_per_fold": 2.5}, {}),
+    ("boolean level", {"level": True}, {}),
+    ("unknown method", {"riesz_method": "foo"}, {}),
+    ("unknown network basis", {"riesz_method": "mlp", "riesz_basis": "bogus"}, {}),
+    ("unknown nuisance basis", {"nuisance_basis": "bogus"}, {}),
+    ("unknown outcome family", {"outcome_family": "probit"}, {}),
+]
+
+
+@pytest.mark.parametrize("settings,call", [c[1:] for c in BAD_ARGUMENTS],
+                         ids=[c[0] for c in BAD_ARGUMENTS])
+def test_bad_arguments_are_refused_before_any_fit(settings, call, discrete_data, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the arguments were checked")
+
+    for name in ("FoldDesigns", "fit_folds", "fit_sequential", "_fit_networks"):
+        monkeypatch.setattr(estimator, name, no_fit)
+    with pytest.raises(SchemaError, match="|".join({**settings, **call})):
+        one_step_estimate(builtin_spec("ate"), discrete_data, EstimatorSettings(**settings),
+                          **call)
+
+
+def test_basis_policy_is_checked_without_conditioning_columns(discrete_data):
+    # an empty conditioning set resolves to the intercept under every policy
+    with pytest.raises(SchemaError, match="policy"):
+        make_basis("bogus", (), discrete_data)
+
+
 class TestCrossFitStatistical:
     def test_interval_covers_truth_on_easy_design(self, discrete_dgp):
         data = simulate(discrete_dgp, 20000, 77)

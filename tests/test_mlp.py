@@ -51,6 +51,7 @@ class TestNetwork:
         {"learning_rate": float("inf")}, {"width": 2.5}, {"epochs": 2.5},
         {"batch_size": 2.5}, {"hidden_layers": True}, {"seed": 2.5},
         {"learning_rate": True}, {"adam_eps": True}, {"beta1": False}, {"beta2": "0.9"},
+        {"seed": -1}, {"batch_size": True},
     ], ids=repr)
     def test_corrupting_settings_refused(self, setting):
         with pytest.raises(SchemaError):

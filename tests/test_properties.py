@@ -128,12 +128,14 @@ def test_apply_map_is_linear(terms, f_coef, g_coef, alpha, beta, seed):
 
 special_floats = st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324])
 numbers = st.one_of(st.floats(), st.integers(), special_floats)
-# the writer's slot string may appear in a payload as a key or a value
-texts = st.text() | st.just(data_module._SLOT)
+# bools and float subclasses are numbers to json but take the writer's per-item path
+array_items = numbers | st.booleans() | st.floats().map(np.float64)
+# json coerces int, float, bool and None keys to strings
+keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
 json_values = st.recursive(
-    st.one_of(st.none(), st.booleans(), texts, numbers, st.lists(numbers)),
+    st.one_of(st.none(), st.booleans(), st.text(), numbers, st.lists(array_items)),
     lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(texts, children, max_size=4),
+    | st.dictionaries(keys, children, max_size=4),
     max_leaves=20)
 
 

@@ -240,6 +240,15 @@ class TestDatasetValidation:
         with pytest.raises(SchemaError, match="at least one row"):
             Dataset(schema, {"Y": np.array([])})
 
+    # repeated levels passed the ">= 2 levels" count, though a column of them has one value
+    @pytest.mark.parametrize("levels", [(0, 0), (1.0, 1), (0, 1, 1)], ids=repr)
+    def test_repeated_categorical_levels_rejected(self, levels):
+        with pytest.raises(SchemaError, match="distinct levels"):
+            Column("G", "covariate", "categorical", levels)
+        with pytest.raises(SchemaError, match="distinct levels"):
+            Column.from_dict({"name": "G", "role": "covariate", "support": "categorical",
+                              "levels": list(levels)})
+
 
 class TestDgpProtocol:
     @pytest.mark.parametrize("dgp", [AppendixDgp(), DiscreteDgp()], ids=lambda d: d.label)
