@@ -251,8 +251,9 @@ def _cells(col: Column, values: np.ndarray):
 
 
 def _bad_cell(path, names) -> SchemaError:
-    """Locate the first CSV row that is ragged or holds a non-number; lines
-    are counted from 1 with the header as line 1."""
+    """Locate the first CSV row that is ragged or holds a non-number, as the
+    reader's ``np.loadtxt`` parses cells (Python's ``float`` also takes
+    ``0_0``); lines are counted from 1 with the header as line 1."""
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line_no == 1 or not line.strip():
@@ -263,7 +264,9 @@ def _bad_cell(path, names) -> SchemaError:
                                    f"expected {len(names)}")
             for name, cell in zip(names, cells):
                 try:
-                    float(cell)
+                    with warnings.catch_warnings():  # an empty cell reads as no data
+                        warnings.simplefilter("ignore")
+                        np.loadtxt([cell], delimiter=",", comments=None).item()
                 except ValueError:
                     return SchemaError(
                         f"CSV line {line_no}, column {name!r}: {cell!r} is not a number")

@@ -254,13 +254,16 @@ def _validate_structure(spec: EstimandSpec) -> None:
             f"innermost conditioning set, so point evaluations are not well defined")
 
     outer = spec.stage(1)
-    for term in outer.fmap.terms:
-        fixed = set(term.assigned())
-        loose = [g for g in outer.given if g not in fixed]
-        if loose:
-            raise SpecValidationError(
-                f"outermost stage conditions on {loose} without assigning them; the outer "
-                f"expectation must be marginal or subgroup-marginal")
+    if [term.coef for term in outer.fmap.terms] != [1.0]:
+        raise SpecValidationError(
+            f"the outermost stage, stages[{spec.depth - 1}], must map by exactly one term with "
+            f"coefficient 1, as the estimand is a mean over a subgroup; move the coefficients "
+            f"into stage 2's map (the next stage in), or declare a 'contrast' for a difference")
+    loose = [g for g in outer.given if g not in outer.fmap.terms[0].assigned()]
+    if loose:
+        raise SpecValidationError(
+            f"outermost stage conditions on {loose} without assigning them; the outer "
+            f"expectation must be marginal or subgroup-marginal")
 
     if spec.contrast is not None:
         uses_token = any(

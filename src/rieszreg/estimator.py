@@ -7,12 +7,14 @@ the per-row influence contributions are
     D_1 = a_1 * (m_2(x; Q_2) - theta)               (m_{K+1}(x; .) := y)
 
 and their sum is the influence function. The one-step estimate solves
-mean(influence) = 0 in theta, which is linear in theta. The outermost
-weight is the constant 1 for marginal outer stages; for subgroup outer
-stages the fitted weight is rescaled to unit in-fold mean (its population
-mean is exactly 1, and a scalar frequency needs no cross-fitting), which
-makes solving coincide with the classic plug-in-plus-correction form, so
-both bookkeeping identities hold by construction:
+mean(influence) = 0 in theta, which is linear in theta. The parser allows
+the outermost map only one coefficient-1 term, so theta is a subgroup mean.
+The outermost weight is then the constant 1 for marginal outer stages; for
+subgroup outer stages the fitted weight is rescaled to unit in-fold mean
+(its population mean is exactly 1, and a scalar frequency needs no
+cross-fitting), which makes solving coincide with the classic
+plug-in-plus-correction form, so both bookkeeping identities hold by
+construction:
 
     theta_hat - plug_in = mean(eif_values)          (eif_values at plug_in)
     mean(influence at theta_hat) = 0
@@ -40,7 +42,7 @@ from .errors import (DegenerateFoldError, NonFiniteEifError, RieszregError, Sche
                      is_integer, is_real, require)
 from .estimands import EstimandSpec, apply_map, validate_binding
 from .mlp import MlpConfig
-from .nuisance import OUTCOME_FAMILIES, NuisanceFit, fit_folds
+from .nuisance import OUTCOME_FAMILIES, fit_folds
 from .riesz import METHODS, SieveRieszFit, fit_sequential
 from .simulate import substream
 
@@ -325,7 +327,7 @@ def _estimate_concrete(spec: EstimandSpec, designs: FoldDesigns,
             "n_train": designs.fold(v).n_train,
             "plug_in": float(np.mean(parts.plug_values)),
             "alpha1_mean_raw": raw_mean,
-            "riesz_fitted_loss": [getattr(a, "fitted_loss", None) for a in alphas],
+            "riesz_fitted_loss": [a.fitted_loss for a in alphas],
         })
 
     _require_finite(eif_values, 1)
@@ -384,7 +386,7 @@ def _fold_networks(v: int, job=None) -> list:
 def _held_out(fit, designs: FoldDesigns, rows: slice) -> np.ndarray:
     """A fit's values on one fold block: a slice of the held design times
     the coefficients for a sieve fit, a call on the block's columns else."""
-    if isinstance(fit, (SieveRieszFit, NuisanceFit)):
+    if isinstance(fit, SieveRieszFit):
         return fit.on_design(designs.design(fit.basis)[rows])
     return np.asarray(fit({name: col[rows] for name, col in designs.cols.items()}),
                       dtype=np.float64)
@@ -459,16 +461,10 @@ def verify_orthogonality(spec: EstimandSpec, data: Dataset, alphas, nuisances,
     parts = _stage_values(spec, alphas, nuisances, data)
     rows = []
     for k, values in parts.tail:
-        alpha_fit = alphas[k - 1]
-        q_fit = nuisances[k - 1]
-        shared = (
-            isinstance(alpha_fit, SieveRieszFit)
-            and isinstance(q_fit, NuisanceFit)
-            and q_fit.family == "least_squares"
-            and alpha_fit.basis == q_fit.basis
-            and alpha_fit.ridge == 0.0
-            and q_fit.ridge == 0.0
-        )
+        fits = alphas[k - 1], nuisances[k - 1]
+        shared = (all(isinstance(fit, SieveRieszFit) for fit in fits)
+                  and fits[0].basis == fits[1].basis
+                  and {(fit.family, fit.ridge) for fit in fits} == {("least_squares", 0.0)})
         mean = float(np.mean(values))
         rows.append(OrthogonalityRow(k, mean, shared, abs(mean) <= tol))
     return rows

@@ -6,14 +6,14 @@ prediction, on its own conditioning set. Binary outcomes default to a
 logistic sieve (damped Newton on the penalized log-likelihood); everything
 else, pseudo-outcomes included, uses penalized least squares. That is the
 identity-map Riesz fit with weights equal to the target (mean[f^2 - 2*y*f]
-is mean[(y - f)^2] less a constant), so ``fit_least_squares`` calls the sieve
-Riesz solver, and on a basis shared with a Riesz fit its residual is
-orthogonal to the weight's span by construction.
+is mean[(y - f)^2] less a constant), so ``fit_least_squares`` returns the
+sieve Riesz solver's fit as is, and on a basis shared with a Riesz fit its
+residual is orthogonal to the weight's span by construction. Every stage
+regression is a ``riesz.SieveRieszFit``; the logistic one has the logistic
+family.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .basis import Basis, FoldDesigns, as_designs, intercept_basis, make_basis
 from .data import Dataset
 from .errors import NonConvergenceError, SchemaError
 from .estimands import EstimandSpec, FunctionalMap, MapTerm
-from .riesz import BlockWeights, fit_sieve
+from .riesz import BlockWeights, SieveRieszFit, fit_sieve
 
 LOGISTIC_TOL = 1e-9
 LOGISTIC_MAX_ITER = 100
@@ -31,38 +31,18 @@ OBJECTIVE_ROUNDING = 64 * np.finfo(np.float64).eps
 
 IDENTITY_MAP = FunctionalMap((MapTerm(1.0, ()),), ())
 
-
-@dataclass
-class NuisanceFit:
-    """One fitted stage regression, evaluable on any schema-conformant rows."""
-
-    stage: int
-    family: str  # "least_squares" or "logistic"
-    basis: Basis
-    coef: np.ndarray
-    ridge: float
-    gram_condition: float
-    newton_iterations: int = 0
-
-    def __call__(self, cols) -> np.ndarray:
-        return self.on_design(self.basis.design(cols))
-
-    def on_design(self, design: np.ndarray) -> np.ndarray:
-        index = design @ self.coef
-        return expit(index) if self.family == "logistic" else index
+NuisanceFit = SieveRieszFit  # the name under which the benchmark tracer times stage fits
 
 
-def fit_least_squares(basis: Basis, data, target: np.ndarray, ridge: float | None,
-                      stage: int) -> NuisanceFit:
+def fit_least_squares(basis: Basis, data, target: np.ndarray,
+                      ridge: float | None) -> SieveRieszFit:
     """Penalized least squares: the identity-map Riesz fit weighted by the target."""
-    fit = fit_sieve(IDENTITY_MAP, data, basis, ridge=ridge, weights=target)
-    return NuisanceFit(stage, "least_squares", basis, fit.coef, fit.ridge,
-                       fit.gram_condition)
+    return fit_sieve(IDENTITY_MAP, data, basis, ridge=ridge, weights=target)
 
 
 def fit_logistic(basis: Basis, data, target: np.ndarray, ridge: float | None,
-                 stage: int, tol: float = LOGISTIC_TOL,
-                 max_iter: int = LOGISTIC_MAX_ITER) -> NuisanceFit:
+                 tol: float = LOGISTIC_TOL,
+                 max_iter: int = LOGISTIC_MAX_ITER) -> SieveRieszFit:
     """Damped Newton on mean log-loss plus (ridge/2)*||coef||^2; converges
     when the largest gradient component falls below ``tol``.
 
@@ -102,8 +82,8 @@ def fit_logistic(basis: Basis, data, target: np.ndarray, ridge: float | None,
         probs = expit(index)
         grad = sum(d.T @ (probs[s] - y[s]) for d, s in pieces) / n + ridge * coef
         if np.max(np.abs(grad)) < tol:
-            return NuisanceFit(stage, "logistic", basis, coef, float(ridge),
-                               condition, newton_iterations=iteration - 1)
+            return SieveRieszFit(basis, coef, float(ridge), condition, family="logistic",
+                                 newton_iterations=iteration - 1)
         probs *= 1 - probs
         hessian = sum((d * probs[s, None]).T @ d for d, s in pieces) / n
         step, condition = solve_normal_equations(hessian, grad, ridge,
@@ -134,7 +114,7 @@ def fit_logistic(basis: Basis, data, target: np.ndarray, ridge: float | None,
 
 def fit_all_stages(spec: EstimandSpec, data: Dataset, basis_policy: str = "default",
                    degree: int = 2, ridge: float | None = None,
-                   outcome_family: str | None = None) -> list[NuisanceFit]:
+                   outcome_family: str | None = None) -> list[SieveRieszFit]:
     """Fit Q_K down to Q_1 on one dataset, the one-block case of
     ``fit_folds``; returns fits ordered outermost first."""
     fits, _ = fit_folds(spec, FoldDesigns(data), basis_policy, degree, ridge, outcome_family)
@@ -189,7 +169,7 @@ def fit_folds(spec: EstimandSpec, designs: FoldDesigns, basis_policy: str = "def
                    spec.stage(k + 1).fmap if k < depth else None, key)
             if key not in designs.fits:
                 fitter = fit_logistic if k == depth and family == "logistic" else fit_least_squares
-                designs.fits[key] = [fitter(basis, designs.fold(v), targets[v], ridge, k)
+                designs.fits[key] = [fitter(basis, designs.fold(v), targets[v], ridge)
                                      for v in range(designs.folds)]
             fits[k - 1] = designs.fits[key]
     return fits, mapped

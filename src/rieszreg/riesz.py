@@ -5,12 +5,13 @@ For a linear map m and candidate function f the loss is
     mean_i [ f(x_i)^2 - 2 * w_i * m(x_i; f) ]
 
 whose population minimizer is the representer itself and whose minimum is
--E[representer^2]. Two fitters are provided: a closed-form linear sieve
-(exact normal-equation minimizer over a feature dictionary, optionally
-ridged) and a small ReLU network trained by Adam on backpropagated gradients
-of the same loss. Nested estimands are handled sequentially: each stage's
-fitted weight becomes the per-row weight in the next stage's loss, with the
-outermost marginal stage pinned to the constant 1.
+-E[representer^2] (Chernozhukov, Newey and Singh, Econometrica 2022). Two
+fitters are provided: a closed-form linear sieve (exact normal-equation
+minimizer over a feature dictionary, optionally ridged) and a small ReLU
+network trained by Adam on backpropagated gradients of the same loss. Every
+sieve fit is a ``SieveRieszFit``: stage regressions too, and the constant 1
+weight of a marginal outermost stage. Nested estimands are handled
+sequentially: each stage's fitted weight is the next stage's loss weight.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import mlp as mlp_net
-from ._linalg import default_ridge, solve_normal_equations
+from ._linalg import default_ridge, expit, solve_normal_equations
 from .basis import Basis, as_designs, intercept_basis, make_basis
-from .data import Dataset, as_columns, constant_one
+from .data import Dataset, as_columns
 from .errors import SchemaError, TrainingDivergedError
 from .estimands import EstimandSpec, FunctionalMap, apply_map, term_columns
 from .mlp import MlpConfig
@@ -44,19 +45,24 @@ def riesz_loss(fn, fmap: FunctionalMap, data, weights=None) -> float:
 
 @dataclass
 class SieveRieszFit:
-    """Linear representer: coefficients over a feature basis."""
+    """The one sieve fit type, coefficients over a feature basis: Riesz
+    weights, stage regressions (logistic ones apply ``expit``) and the
+    constant outer weight."""
 
     basis: Basis
     coef: np.ndarray
     ridge: float
-    fitted_loss: float
     gram_condition: float
+    fitted_loss: float | None = None
+    family: str = "least_squares"  # or "logistic"
+    newton_iterations: int = 0
 
     def __call__(self, cols) -> np.ndarray:
         return self.on_design(self.basis.design(cols))
 
     def on_design(self, design: np.ndarray) -> np.ndarray:
-        return design @ self.coef
+        index = design @ self.coef
+        return expit(index) if self.family == "logistic" else index
 
 
 @dataclass
@@ -75,8 +81,8 @@ class MlpRieszFit:
 
 @dataclass
 class ClosedFormRieszFit:
-    """A representer given by rule rather than fitted; e.g. the constant 1
-    weight of a marginal outer stage, or an exact inverse-probability form."""
+    """A representer given by rule, e.g. an exact inverse-probability form;
+    the benchmark tracer patches its ``__call__``."""
 
     fn: object
 
@@ -84,8 +90,10 @@ class ClosedFormRieszFit:
         return np.asarray(self.fn(cols), dtype=np.float64)
 
 
-def constant_one_fit() -> ClosedFormRieszFit:
-    return ClosedFormRieszFit(constant_one)
+def constant_one_fit() -> SieveRieszFit:
+    """A marginal outermost stage's weight: the intercept-only sieve fit of
+    the one coefficient-1 term the parser allows there, the constant 1."""
+    return SieveRieszFit(intercept_basis(), np.ones(1), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +118,7 @@ def fit_sieve(fmap: FunctionalMap, data, basis: Basis, ridge: float | None = Non
         ridge = default_ridge(gram)
     coef, condition = solve_normal_equations(gram, rhs, ridge, what="sieve Gram matrix")
     loss = float(coef @ gram @ coef - 2.0 * coef @ rhs)
-    return SieveRieszFit(basis, coef, float(ridge), loss, condition)
+    return SieveRieszFit(basis, coef, float(ridge), condition, loss)
 
 
 def _sieve_system(basis: Basis, fmap: FunctionalMap, data, weights):
@@ -120,9 +128,8 @@ def _sieve_system(basis: Basis, fmap: FunctionalMap, data, weights):
     given as a sieve fit enters through the cross blocks of the map's design
     with the fit's design, which every fold shares, times its coefficients."""
     designs = as_designs(data)
-    if weights is None:
-        weights = BlockWeights(designs.cross(basis, fmap, intercept_basis()), np.ones(1))
-    elif isinstance(weights, SieveRieszFit):
+    weights = constant_one_fit() if weights is None else weights
+    if isinstance(weights, SieveRieszFit):
         weights = BlockWeights(designs.cross(basis, fmap, weights.basis), weights.coef)
     elif not isinstance(weights, BlockWeights):
         weights = BlockWeights(designs.cross(basis, fmap, _check_weights(weights, designs.n)),
@@ -283,9 +290,10 @@ def fit_sequential(spec: EstimandSpec, data, method: str = "sieve",
                    ridge: float | None = None, mlp_config: MlpConfig | None = None) -> list:
     """Fit one representer per stage, outermost first.
 
-    Stage k's loss weights are the fitted stage k-1 values (ones at k=1);
-    marginal outer stages take the constant-1 weight without fitting. A sieve
-    weight is handed on as its fit (see ``fit_sieve``), never evaluated.
+    Stage k's loss weights are the fitted stage k-1 weight (ones at k=1); a
+    marginal outermost stage takes ``constant_one_fit`` without fitting.
+    Every sieve weight is a ``SieveRieszFit``, handed on as its fit (see
+    ``fit_sieve``), never evaluated; a network weight is handed on as values.
     ``data`` is a dataset or a fold view of a ``FoldDesigns``: sieves read
     its training blocks, networks train on its ``training_set()``. Its
     ``fits`` hands back a fit already made for the same stage chain: stage k
@@ -308,7 +316,7 @@ def fit_sequential(spec: EstimandSpec, data, method: str = "sieve",
                stage, key)
         if key in designs.fits:
             fit = designs.fits[key]
-        elif not stage.given:
+        elif k == 1 and not stage.given:
             fit = constant_one_fit()
         elif method == "sieve":
             basis = make_basis(basis_policy, stage.given, designs.data, degree)
@@ -321,8 +329,8 @@ def fit_sequential(spec: EstimandSpec, data, method: str = "sieve",
         designs.fits[key] = fit
         fits.append(fit)
         if k < spec.depth:  # only a later stage reads the weights
-            weights = (None if not stage.given else fit if isinstance(fit, SieveRieszFit)
-                       else np.asarray(fit(rows.columns), dtype=np.float64))
+            weights = fit if method == "sieve" else np.asarray(fit(rows.columns),
+                                                                dtype=np.float64)
     return fits
 
 

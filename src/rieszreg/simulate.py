@@ -30,7 +30,7 @@ import numpy as np
 
 from ._linalg import expit
 from .data import Column, Dataset, as_columns, constant_one
-from .errors import RieszregError, SchemaError
+from .errors import RieszregError, SchemaError, is_integer, require
 from .estimands import EstimandSpec
 
 GH_NODES_DEFAULT = 64
@@ -184,8 +184,8 @@ DGPS = {dgp.label: dgp for dgp in (AppendixDgp, DiscreteDgp)}
 
 def simulate(dgp, n: int, seed: int) -> Dataset:
     """Draw n i.i.d. observations from a DGP; deterministic given seed."""
-    if n < 1:
-        raise SchemaError(f"sample size must be >= 1, got {n}")
+    require(is_integer(n) and n >= 1, "sample size must be an integer >= 1", n)
+    require(is_integer(seed) and seed >= 0, "seed must be an integer >= 0", seed)
     return Dataset(dgp.schema(), dgp.sample(n, substream(seed)), seed=seed)
 
 

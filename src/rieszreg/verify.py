@@ -29,7 +29,7 @@ from .estimands import builtin_spec
 from .estimator import assemble_eif, verify_orthogonality
 from .mlp import MlpConfig
 from .nuisance import fit_all_stages
-from .riesz import SieveRieszFit, fit_sequential, mlp_loss_gradients, representation_residuals
+from .riesz import fit_sequential, mlp_loss_gradients, representation_residuals
 from .simulate import AppendixDgp, DiscreteDgp, simulate, substream
 
 REPRESENTATION_TOL = 1e-10
@@ -64,17 +64,13 @@ def check_representation(seed: int = 0, flip_sign: bool = False) -> CheckResult:
     data = simulate(AppendixDgp(), 2000, seed)
     worst = 0.0
     for label, spec in _concrete_builtins():
-        fits = fit_sequential(spec, data, method="sieve", ridge=0.0)
-        weights = np.ones(data.n)
-        for k in range(1, spec.depth + 1):
-            fit = fits[k - 1]
-            if isinstance(fit, SieveRieszFit):
-                if flip_sign:
-                    fit.coef = -fit.coef
-                residuals = representation_residuals(
-                    fit, spec.stage(k).fmap, data, weights=weights)
-                worst = max(worst, float(np.max(np.abs(residuals))))
-            weights = np.asarray(fit(data.columns), dtype=np.float64)
+        weights = None
+        for k, fit in enumerate(fit_sequential(spec, data, method="sieve", ridge=0.0), start=1):
+            if flip_sign:
+                fit.coef = -fit.coef
+            residuals = representation_residuals(fit, spec.stage(k).fmap, data, weights=weights)
+            worst = max(worst, float(np.max(np.abs(residuals))))
+            weights = fit
     return CheckResult("representation", worst <= REPRESENTATION_TOL, worst,
                        REPRESENTATION_TOL, "max first-order-condition residual")
 

@@ -22,7 +22,7 @@ from rieszreg import (
     simulate,
     truth_oracle,
 )
-from rieszreg.bench import replicate_seed
+from rieszreg.bench import BenchTask, replicate_seed, run_task
 from rieszreg.verify import (
     check_closed_form,
     check_eif_formulas,
@@ -103,15 +103,10 @@ def test_criterion_6_mediation_end_to_end():
     oracle = truth_oracle(spec, dgp)
     assert abs(oracle - FROZEN_NDE_TRUTH) <= 1e-9, "oracle drifted from frozen truth"
     replicates, n, folds, master = 200, 5000, 5, 20250810
-    settings = EstimatorSettings()
-    estimates = np.empty(replicates)
-    covered = np.empty(replicates, dtype=bool)
-    for rep in range(replicates):
-        seed = replicate_seed(master, rep)
-        data = simulate(dgp, n, seed)
-        report = one_step_estimate(spec, data, settings, folds=folds, seed=seed)
-        estimates[rep] = report.headline
-        covered[rep] = report.headline_ci.covers(FROZEN_NDE_TRUTH)
+    # replicates are seeded one by one, so two processes give the serial numbers
+    rows = run_task(BenchTask(dgp, spec, n, replicates, folds, master), threads=2)
+    estimates = np.array([row["estimate"] for row in rows])
+    covered = np.array([row["ci_lo"] <= FROZEN_NDE_TRUTH <= row["ci_hi"] for row in rows])
     mc_se = estimates.std(ddof=1) / np.sqrt(replicates)
     bias = estimates.mean() - FROZEN_NDE_TRUTH
     coverage = covered.mean()

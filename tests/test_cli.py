@@ -286,6 +286,33 @@ def _coef_spec(tmp_path, coef):
     return _estimate(tmp_path, "--spec", str(path))
 
 
+# outermost stages over E[Y | A, W] mapped by f(A=1) whose map is not one
+# coefficient-1 term, the only map the estimator's outer weight is right for
+BAD_OUTER_STAGES = {
+    "coef 2": ([], [(2.0, {})]),
+    "two unit terms": ([], [(1.0, {}), (1.0, {})]),
+    "subgroup coef 2": (["W"], [(2.0, {"W": 1})]),
+    "subgroup difference": (["W"], [(1.0, {"W": 1}), (-1.0, {"W": 0})]),
+}
+
+
+@pytest.mark.parametrize("label", BAD_OUTER_STAGES)
+def test_outer_map_other_than_one_unit_term_is_refused(label, tmp_path, capsys):
+    given, terms = BAD_OUTER_STAGES[label]
+    doc = {"name": label, "stages": [
+        {"regress": "Y", "given": ["A", "W"], "map": [{"coef": 1.0, "set": {"A": 1}}]},
+        {"regress": "prev", "given": given,
+         "map": [{"coef": coef, "set": assigned} for coef, assigned in terms]}]}
+    with pytest.raises(rieszreg.SpecValidationError, match="exactly one term with coefficient 1"):
+        parse_spec(json.dumps(doc))
+    path = tmp_path / "outer.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(_estimate(tmp_path, "--spec", str(path))) == 3
+    err = capsys.readouterr().err
+    assert "stage 2's map" in err and "contrast" in err and "Traceback" not in err
+
+
 def _undecodable_csv(tmp_path, header=b"W,A,Y", cell=b"1"):
     argv = _estimate(tmp_path)
     (tmp_path / "bad.csv").write_bytes(header + b"\n1,0,1\n0," + cell + b",0\n")
@@ -325,6 +352,8 @@ BAD_INPUTS = [
     ("undecodable document", _undecodable_spec, {}, 3, "ate.json is not UTF-8"),
     ("comment-like cell", lambda t: _estimate(t, body="1,0,1\n#0,1,0\n" * 40), {}, 3,
      "line 3, column 'W': '#0' is not a number"),
+    ("python-only number cell", lambda t: _estimate(t, body="1,0,1\n0,0_0,0\n" * 40), {}, 3,
+     "line 3, column 'A': '0_0' is not a number"),
     ("truncated sidecar", lambda t: _sidecar(t, '{"columns": ['), {}, 3, "bad.csv.schema.json"),
     ("sidecar without columns", lambda t: _sidecar(t, '{"cols": []}'), {}, 3,
      "bad.csv.schema.json"),

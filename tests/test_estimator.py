@@ -318,7 +318,7 @@ BAD_SETTINGS = [
     ("negative ridge, sieve", lambda d: fit_sieve(builtin_spec("ate").stage(2).fmap, d,
                                                   _basis(d), ridge=-1e-3)),
     ("nan ridge, logistic", lambda d: fit_logistic(_basis(d), d, d.column("Y"),
-                                                   ridge=float("nan"), stage=2)),
+                                                   ridge=float("nan"))),
 ]
 
 
@@ -635,7 +635,7 @@ def _reference_cross_fit(spec, data, settings, folds, seed):
         tail[test_idx] = sum(values for _, values in parts.tail) if parts.tail else 0.0
         next_mapped[test_idx] = parts.next_mapped
         plug[test_idx] = parts.plug_values
-        losses = [a.fitted_loss for a in alphas if hasattr(a, "fitted_loss")]
+        losses = [a.fitted_loss for a in alphas if a.fitted_loss is not None]
         per_fold.append([float(np.mean(parts.plug_values)), raw_mean] + losses)
     plug_in = float(np.mean(plug))
     eif = tail + alpha1 * (next_mapped - plug_in)

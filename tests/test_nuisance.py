@@ -34,7 +34,7 @@ class TestLogistic:
     def test_recovers_outcome_link_coefficients(self, appendix_dgp):
         data = simulate(appendix_dgp, 20000, 17)
         basis = _linear_basis("A", "M", "W")
-        fit = fit_logistic(basis, data, data.column("Y"), ridge=0.0, stage=3)
+        fit = fit_logistic(basis, data, data.column("Y"), ridge=0.0)
         truth = {"1": -math.log(5), "A": math.log(2), "M": math.log(3),
                  "W": -math.log(1.2)}
         # asymptotic standard errors from the observed information
@@ -48,7 +48,7 @@ class TestLogistic:
     def test_predictions_strictly_inside_unit_interval(self, appendix_data):
         basis = _linear_basis("A", "M", "W")
         fit = fit_logistic(basis, appendix_data, appendix_data.column("Y"),
-                           ridge=None, stage=3)
+                           ridge=None)
         probs = fit(appendix_data.columns)
         assert np.all(probs > 0) and np.all(probs < 1)
 
@@ -56,7 +56,7 @@ class TestLogistic:
         basis = _linear_basis("A", "M", "W")
         with pytest.raises(NonConvergenceError, match="did not converge in 2 iterations"):
             fit_logistic(basis, appendix_data, appendix_data.column("Y"),
-                         ridge=0.0, stage=3, max_iter=2)
+                         ridge=0.0, max_iter=2)
 
     def test_separable_data_saturates(self):
         # perfectly separated outcomes drive coefficients to the float64
@@ -65,8 +65,7 @@ class TestLogistic:
         x = substream(3).normal(size=60)
         schema = (Column("X", "covariate", "real"), Column("Y", "outcome", "binary"))
         data = Dataset(schema, {"X": x, "Y": (x > 0).astype(float)})
-        fit = fit_logistic(_linear_basis("X"), data, data.column("Y"), ridge=0.0,
-                           stage=1)
+        fit = fit_logistic(_linear_basis("X"), data, data.column("Y"), ridge=0.0)
         assert abs(fit.coef[1]) > 50
 
     @pytest.mark.parametrize("task_seed,rep", [(87, 16), (114, 10), (419171175, 13)])
@@ -79,7 +78,7 @@ class TestLogistic:
                                    folds=5, seed=seed)
         assert np.isfinite(report.headline)
         basis = default_basis(("A", "M", "W"), data)
-        fit = fit_logistic(basis, data, data.column("Y"), ridge=None, stage=3)
+        fit = fit_logistic(basis, data, data.column("Y"), ridge=None)
         grad = (basis.design(data).T @ (fit(data.columns) - data.column("Y")) / data.n
                 + fit.ridge * fit.coef)
         assert np.max(np.abs(grad)) < LOGISTIC_TOL
@@ -96,7 +95,7 @@ class TestLogistic:
         basis = default_basis(("A", "M", "W"), data)
         y = designs.data.column("Y")
         for v in range(5):
-            fit = fit_logistic(basis, designs.fold(v), y, ridge=None, stage=3)
+            fit = fit_logistic(basis, designs.fold(v), y, ridge=None)
             train = data.subset(np.sort(np.delete(order, designs.block(v))))
             grad = (basis.design(train).T @ (fit(train.columns) - train.column("Y"))
                     / train.n + fit.ridge * fit.coef)
@@ -106,12 +105,12 @@ class TestLogistic:
         y = appendix_data.column("Y")
         for target in (np.concatenate([y, y[:3]]), y[:-1]):
             with pytest.raises(SchemaError, match="shape"):
-                fit_logistic(_linear_basis("A"), appendix_data, target, ridge=0.0, stage=3)
+                fit_logistic(_linear_basis("A"), appendix_data, target, ridge=0.0)
 
     def test_requires_binary_target(self, appendix_data):
         with pytest.raises(SchemaError, match="0/1"):
             fit_logistic(_linear_basis("A"), appendix_data,
-                         appendix_data.column("M"), ridge=0.0, stage=1)
+                         appendix_data.column("M"), ridge=0.0)
 
 
 class TestStageFitting:

@@ -27,6 +27,7 @@ from rieszreg import (
     parse_spec,
     representation_residuals,
     simulate,
+    truth_oracle,
 )
 from rieszreg import data as data_module
 from rieszreg.basis import make_basis
@@ -80,7 +81,7 @@ def test_least_squares_residuals_orthogonal_to_shared_basis(dgp, seed, target_se
     basis = make_basis("default", given_cols, data)
     noise = np.random.default_rng(target_seed).standard_normal(data.n)
     for target in (data.column("Y"), data.column("Y") * 3.0 + noise):
-        fit = fit_least_squares(basis, data, target, ridge=0.0, stage=1)
+        fit = fit_least_squares(basis, data, target, ridge=0.0)
         gaps = basis.design(data).T @ (target - fit(data.columns)) / data.n
         assert np.max(np.abs(gaps)) <= 1e-10
 
@@ -205,7 +206,8 @@ def _subsets(items):
 @st.composite
 def estimand_documents(draw):
     """Valid documents: every assigned variable is in the innermost stage's
-    conditioning set, and every outermost term assigns all its variables."""
+    conditioning set, and the outermost stage maps by one coefficient-1 term
+    that assigns all its variables."""
     depth = draw(st.integers(1, 3))
     inner = draw(st.lists(st.sampled_from(COLUMNS), min_size=1, unique=True))
     stages = []
@@ -213,9 +215,9 @@ def estimand_documents(draw):
         given = inner if index == 0 else draw(_subsets(inner))
         outermost = index == depth - 1
         terms = []
-        for _ in range(draw(st.integers(1, 3))):
+        for _ in range(1 if outermost else draw(st.integers(1, 3))):
             names = given if outermost else draw(_subsets(given))
-            terms.append({"coef": draw(coefs),
+            terms.append({"coef": 1.0 if outermost else draw(coefs),
                           "set": {name: draw(assigned_values) for name in names}})
         stage = {"regress": "Y" if index == 0 else "prev", "given": given}
         where = draw(_subsets(given))
@@ -237,3 +239,59 @@ def estimand_documents(draw):
 def test_format_parse_format_is_identity(doc):
     text = format_spec(parse_spec(json.dumps(doc)))
     assert format_spec(parse_spec(text)) == text
+
+
+@st.composite
+def mean_documents(draw):
+    """Documents on the columns A and W of ``DiscreteDgp``: depth 1-3, random
+    inner map terms and ``where`` subgroups, one coefficient-1 outer term."""
+    depth = draw(st.integers(1, 3))
+    inner = draw(st.lists(st.sampled_from(("A", "W")), min_size=1, unique=True))
+    stages = []
+    for index in range(depth):
+        given = inner if index == 0 else draw(_subsets(inner))
+        if index == depth - 1:
+            terms = [{"coef": 1.0, "set": {name: draw(levels) for name in given}}]
+        else:
+            terms = [{"coef": draw(st.floats(-3, 3).filter(bool)),
+                      "set": {name: draw(levels) for name in draw(_subsets(given))}}
+                     for _ in range(draw(st.integers(1, 2)))]
+        stage = {"regress": "Y" if index == 0 else "prev", "given": given}
+        where = draw(_subsets(given))
+        if where:
+            stage["where"] = {name: draw(levels) for name in where}
+        stages.append({**stage, "map": terms})
+    return {"name": "drawn", "stages": stages}
+
+
+def _empirical_law(data) -> DiscreteDgp:
+    """The empirical law of (W, A, Y) as a DGP: p_W, P(A | W) and mean Y per
+    (A, W) cell, all sample frequencies."""
+    w, a, y = (data.column(name) for name in ("W", "A", "Y"))
+    return DiscreteDgp(
+        p_confounder=w.mean(), propensity=tuple(a[w == v].mean() for v in (0.0, 1.0)),
+        outcome_mean_table=tuple(tuple(y[(a == i) & (w == j)].mean() for j in (0.0, 1.0))
+                                 for i in (0.0, 1.0)))
+
+
+# every (W, A) cell has probability >= 0.01, so about 40 rows or more
+overlapping_dgps = st.builds(
+    DiscreteDgp, p_confounder=st.floats(0.1, 0.9),
+    propensity=st.tuples(st.floats(0.1, 0.9), st.floats(0.1, 0.9)),
+    outcome_mean_table=st.tuples(st.tuples(prob, prob), st.tuples(prob, prob)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=mean_documents(), dgp=overlapping_dgps, seed=seeds)
+def test_any_accepted_document_matches_the_empirical_law_oracle(doc, dgp, seed):
+    """In-sample saturated least squares at ridge 0 is the empirical law's
+    regression, so the estimate is the oracle's value on that law, which
+    shares no code with the estimator."""
+    spec = parse_spec(json.dumps(doc))
+    data = simulate(dgp, N, seed)
+    exact = EstimatorSettings(riesz_basis="saturated", nuisance_basis="saturated", ridge=0.0,
+                              outcome_family="least_squares")
+    report = one_step_estimate(spec, data, exact, folds=1, seed=seed)
+    truth = truth_oracle(spec, _empirical_law(data))
+    assert abs(report.plug_in - truth) <= 1e-10
+    assert abs(report.theta_hat - truth) <= 1e-10

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from rieszreg import (
     closed_form_representer,
     fit_sequential,
     fit_sieve,
+    parse_spec,
     representation_residuals,
     riesz_loss,
     saturated_basis,
@@ -142,6 +145,21 @@ class TestSequential:
         fits = fit_sequential(builtin_spec("ate"), discrete_data)
         np.testing.assert_array_equal(fits[0](discrete_data.columns),
                                       np.ones(discrete_data.n))
+
+    def test_marginal_inner_stage_weight_is_fitted(self, discrete_data):
+        # E[2 * E[Q(A=1, W)]]: the middle stage's weight represents f -> E[2 f]
+        # over constants, so it is 2, and the outcome stage's weight doubles
+        spec = parse_spec(json.dumps({"name": "twice", "stages": [
+            {"regress": "Y", "given": ["A", "W"], "map": [{"coef": 1, "set": {"A": 1}}]},
+            {"regress": "prev", "given": [], "map": [{"coef": 2, "set": {}}]},
+            {"regress": "prev", "given": [], "map": [{"coef": 1, "set": {}}]}]}))
+        outer, middle, inner = fit_sequential(spec, discrete_data, basis_policy="saturated",
+                                              ridge=0.0)
+        assert outer.coef.tolist() == [1.0] and outer.basis == intercept_basis()
+        np.testing.assert_allclose(middle.coef, [2.0], rtol=1e-12)
+        a = discrete_data.column("A")
+        np.testing.assert_allclose(inner(discrete_data.columns),
+                                   2 * a / _empirical_propensity(discrete_data), atol=1e-10)
 
     def test_control_stage_weight_target(self, appendix_dgp):
         data = simulate(appendix_dgp, 20000, 13)

@@ -82,6 +82,14 @@ class TestSampling:
         with pytest.raises(SchemaError):
             simulate(AppendixDgp(), 0, 1)
 
+    # substream() would floor a float seed while the dataset records it unfloored
+    @pytest.mark.parametrize("n,seed,says", [
+        (2.5, 1, "sample size"), (True, 1, "sample size"), ("3", 1, "sample size"),
+        (50, 1.5, "seed"), (50, -2, "seed"), (50, True, "seed"), (50, "1", "seed")])
+    def test_refuses_non_integer_size_or_seed(self, n, seed, says):
+        with pytest.raises(SchemaError, match=says):
+            simulate(DiscreteDgp(), n, seed)
+
     def test_csv_round_trip(self, tmp_path):
         data = simulate(AppendixDgp(), 50, 77)
         path = tmp_path / "d.csv"
