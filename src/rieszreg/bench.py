@@ -50,6 +50,7 @@ def run_replicate(task: BenchTask, rep: int) -> dict:
     return {
         "replicate": rep,
         "estimate": report.headline,
+        "plug_in": report.plug_in,
         "std_error": (report.contrast.std_error if report.contrast is not None
                       else report.std_error),
         "ci_lo": ci.lo,

@@ -4,13 +4,18 @@ A Dataset is a small column-major table: one float64 array per column plus a
 schema describing each column's role (covariate, treatment, mediator, outcome)
 and support (binary, categorical with levels, real). CSV export writes a
 sidecar JSON document holding the schema so files round-trip losslessly.
+Both writers may share their number formatting with a forked second process;
+``fork_workers`` is the package's one gate on forking.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -36,9 +41,71 @@ def as_columns(data) -> tuple[dict, int]:
     return cols, lengths.pop()
 
 
-# Rows (CSV) or array items (JSON) formatted and written per chunk, so a
-# writer never holds a whole file's text.
+# Rows (CSV) or array items (JSON) formatted and written per part of at most
+# CHUNK, so a writer never holds a whole file's text.
 CHUNK = 65536
+
+
+def fork_workers(parts: int) -> int:
+    """Processes for ``parts`` independent parts: one per part up to the usable
+    cores; 1 without ``os.fork`` or ``os.sched_getaffinity``, or in a
+    multiprocessing child (e.g. a benchmark replicate), whose parent uses them."""
+    pool = sys.modules.get("multiprocessing")  # loaded in every multiprocessing child
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or (
+            pool and pool.parent_process()):
+        return 1
+    return max(1, min(parts, len(os.sched_getaffinity(0))))
+
+
+def _part_bounds(n: int) -> list[int]:
+    """Bounds of ``n`` items cut into equal parts of at most CHUNK items."""
+    parts = max(1, -(-n // CHUNK))
+    return [n * i // parts for i in range(parts + 1)]
+
+
+def _write_parts(fh, pieces: list) -> None:
+    """Write ``pieces`` in order: strings, and parts whose text a call gives.
+    When ``fork_workers`` grants two processes, a forked child formats every
+    other part and streams each through a pipe as its length and its bytes,
+    while the parent formats the rest; a part the child does not send makes
+    the write raise, and the child is reaped whatever happens."""
+    parts, pid = [piece for piece in pieces if callable(piece)], None
+    if fork_workers(len(parts)) > 1:
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: the parent formats every part
+            os.close(read)
+            os.close(write)
+        if pid == 0:
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    for part in parts[1::2]:
+                        text = part().encode()
+                        pipe.write(len(text).to_bytes(8, "little") + text)
+            finally:  # on an error too: a part not sent makes the parent raise
+                os._exit(0)
+        if pid:
+            os.close(write)
+            pipe = open(read, "rb")
+    texts = (_received(pipe) if pid and i % 2 else part() for i, part in enumerate(parts))
+    try:
+        for piece in pieces:
+            fh.write(next(texts) if callable(piece) else piece)
+    finally:
+        if pid:
+            pipe.close()  # ends a child still writing
+            os.waitpid(pid, 0)
+
+
+def _received(pipe) -> str:
+    """The text of the child's next part; raises if the child sent less."""
+    size = int.from_bytes(pipe.read(8), "little")
+    text = pipe.read(size)
+    if not size or len(text) < size:
+        raise ChildProcessError("the writer's second process ended early")
+    return text.decode()
 
 
 def write_json(path, payload) -> None:
@@ -48,34 +115,40 @@ def write_json(path, payload) -> None:
     ``json.dump`` with an indent runs the pure-Python encoder on every item.
     Here nonempty containers are laid out item by item, scalars and empty
     containers are ``json.dumps`` text, and a nonempty list of plain ints and
-    floats is encoded by the C encoder ``CHUNK`` items at a time, its ", "
-    separators turned into indented line breaks."""
+    floats is encoded by the C encoder, its ", " separators turned into
+    indented line breaks, in equal parts of at most CHUNK items that two
+    processes may share (see ``_write_parts``)."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write(fh, payload, "\n")
-        fh.write("\n")
+        _write_parts(fh, [*_json_pieces(payload, "\n"), "\n"])
 
 
-def _write(fh, value, margin: str) -> None:
-    """Write ``value`` in the indent=2 layout; ``margin`` is a newline plus
-    the indent of the line its closing bracket goes on."""
+def _json_pieces(value, margin: str):
+    """The text of ``value`` in the indent=2 layout, as strings and parts;
+    ``margin`` is a newline plus the indent of the line its closing bracket
+    goes on."""
     inner = margin + "  "
     if not isinstance(value, (dict, list, tuple)) or not value:
-        fh.write(json.dumps(value))
+        yield json.dumps(value)
     elif isinstance(value, dict):  # each key as the encoder writes it, which coerces
         for i, (key, item) in enumerate(value.items()):  # int, float, bool and None keys
-            fh.write(("," if i else "{") + inner + json.dumps({key: 0})[1:-4] + ": ")
-            _write(fh, item, inner)
-        fh.write(margin + "}")
-    elif set(map(type, value)) <= {int, float}:  # a number array: the C encoder per chunk
-        for start in range(0, len(value), CHUNK):
-            text = json.dumps(value[start:start + CHUNK])[1:-1]
-            fh.write(("," if start else "[") + inner + text.replace(", ", "," + inner))
-        fh.write(margin + "]")
+            yield ("," if i else "{") + inner + json.dumps({key: 0})[1:-4] + ": "
+            yield from _json_pieces(item, inner)
+        yield margin + "}"
+    elif set(map(type, value)) <= {int, float}:  # a number array: the C encoder per part
+        bounds = _part_bounds(len(value))
+        yield from (partial(_numbers, value, a, b, inner) for a, b in zip(bounds, bounds[1:]))
+        yield margin + "]"
     else:
         for i, item in enumerate(value):
-            fh.write(("," if i else "[") + inner)
-            _write(fh, item, inner)
-        fh.write(margin + "]")
+            yield ("," if i else "[") + inner
+            yield from _json_pieces(item, inner)
+        yield margin + "]"
+
+
+def _numbers(value: list, start: int, stop: int, inner: str) -> str:
+    """Items start:stop of a number array, each on its own line."""
+    text = json.dumps(value[start:stop])[1:-1]
+    return ("," if start else "[") + inner + text.replace(", ", "," + inner)
 
 
 def constant_one(cols) -> np.ndarray:
@@ -180,14 +253,18 @@ class Dataset:
 
     def to_csv(self, path, schema_path=None) -> None:
         """Write rows as CSV (comma, '.' decimal, header, LF, UTF-8) plus a
-        JSON schema sidecar (default: path with a .schema.json suffix)."""
+        JSON schema sidecar (default: path with a .schema.json suffix). The
+        rows are formatted in equal parts of at most CHUNK rows, which two
+        processes may share (see ``_write_parts``); the bytes are the same."""
+        bounds = _part_bounds(self.n)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(c.name for c in self.schema) + "\n")
-            for start in range(0, self.n, CHUNK):
-                cells = [_cells(col, self.columns[col.name][start:start + CHUNK])
-                         for col in self.schema]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            _write_parts(fh, [",".join(c.name for c in self.schema) + "\n"]
+                         + [partial(self._rows, a, b) for a, b in zip(bounds, bounds[1:])])
         write_json(self._sidecar(path, schema_path), self.schema_dict())
+
+    def _rows(self, start: int, stop: int) -> str:
+        cells = [_cells(col, self.columns[col.name][start:stop]) for col in self.schema]
+        return "\n".join(map(",".join, zip(*cells))) + "\n"
 
     def schema_dict(self) -> dict:
         return {

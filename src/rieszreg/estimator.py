@@ -29,7 +29,6 @@ the outcome regression and the stage-2 weight.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .basis import BASIS_POLICIES, FoldDesigns, make_basis
-from .data import Dataset
+from .data import Dataset, fork_workers
 from .errors import (DegenerateFoldError, NonFiniteEifError, RieszregError, SchemaError,
                      is_integer, is_real, require)
 from .estimands import EstimandSpec, apply_map, validate_binding
@@ -340,6 +339,7 @@ def _estimate_concrete(spec: EstimandSpec, designs: FoldDesigns,
 
 
 _INHERITED: list = []  # a forked network worker's [(specs, designs, settings)]
+_network_workers = fork_workers  # one worker per fold up to the usable cores
 
 
 def _fit_networks(specs, designs: FoldDesigns, settings: EstimatorSettings) -> None:
@@ -360,17 +360,6 @@ def _fit_networks(specs, designs: FoldDesigns, settings: EstimatorSettings) -> N
             made = list(pool.map(_fold_networks, folds))
     for pairs in made:
         designs.fits.update(pairs)
-
-
-def _network_workers(folds: int) -> int:
-    """One per fold up to the usable cores; one (serial) without fork or in a
-    multiprocessing child, e.g. a benchmark replicate, whose parent uses them."""
-    import multiprocessing
-
-    if (multiprocessing.parent_process() is not None or not hasattr(os, "sched_getaffinity")
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return 1
-    return min(folds, len(os.sched_getaffinity(0)))
 
 
 def _fold_networks(v: int, job=None) -> list:

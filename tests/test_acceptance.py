@@ -134,18 +134,13 @@ def test_criterion_7_double_robustness():
     summary = {}
     plug_ins = None
     for label, settings in arms.items():
-        estimates = np.empty(replicates)
-        plugs = np.empty(replicates)
-        for rep in range(replicates):
-            seed = replicate_seed(master, rep)
-            data = simulate(dgp, n, seed)
-            report = one_step_estimate(spec, data, settings, folds=5, seed=seed)
-            estimates[rep] = report.theta_hat
-            plugs[rep] = report.plug_in
+        # replicates are seeded one by one, so two processes give the serial numbers
+        rows = run_task(BenchTask(dgp, spec, n, replicates, 5, master, settings), threads=2)
+        estimates = np.array([row["estimate"] for row in rows])
         mc_se = estimates.std(ddof=1) / np.sqrt(replicates)
         summary[label] = (abs(estimates.mean() - truth), 4 * mc_se)
         if label == "misspecified-regressions":
-            plug_ins = plugs
+            plug_ins = np.array([row["plug_in"] for row in rows])
     debiased_ok = all(bias <= bound for bias, bound in summary.values())
     # negative control: the uncorrected plug-in is materially biased
     plug_bias = abs(plug_ins.mean() - truth)

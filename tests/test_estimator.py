@@ -457,7 +457,8 @@ class TestArmSharing:
     def test_nde_fit_counts(self, appendix_data, monkeypatch, tmp_path):
         logistic = _count_calls(monkeypatch, nuisance, "fit_logistic")
         one_step_estimate(builtin_spec("nde"), appendix_data, folds=5, seed=4)
-        assert len(logistic) == 5  # one outcome regression per fold, not per arm
+        # one pooled outcome regression, from which every fold's fit steps, not one per arm
+        assert len(logistic) == 1
         # networks may train in forked workers, so each call appends its pid to a file
         log, fit_mlp = tmp_path / "fit_mlp.log", riesz.fit_mlp
 
@@ -480,7 +481,7 @@ class TestArmSharing:
                  _count_calls(monkeypatch, nuisance, "fit_least_squares"),
                  _count_calls(monkeypatch, riesz, "fit_sieve")]
         one_step_estimate(builtin_spec("ate"), discrete_data, folds=5, seed=4)
-        assert [len(c) for c in calls] == [5, 5, 5]
+        assert [len(c) for c in calls] == [1, 5, 5]  # the logistic one is the pooled fit
 
     def test_nde_design_count(self, appendix_data, monkeypatch):
         # only the observed stage-3, stage-2 and intercept designs, once each:

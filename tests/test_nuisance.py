@@ -19,11 +19,12 @@ from rieszreg import (
     simulate,
     substream,
 )
+from rieszreg import nuisance
 from rieszreg.basis import INTERCEPT, FoldDesigns
 from rieszreg.bench import replicate_seed
 from rieszreg.data import Column, Dataset
 from rieszreg.estimator import _fold_order
-from rieszreg.nuisance import LOGISTIC_TOL
+from rieszreg.nuisance import LOGISTIC_TOL, POOLED_TOL, fit_folds, fit_logistic_folds
 
 
 def _linear_basis(*names):
@@ -87,19 +88,64 @@ class TestLogistic:
         # the n = 200k benchmark input that stalled just above tol; the fits
         # read fold blocks of the held design and reuse design @ step in the
         # line search, which moves the rounding that stall came from
-        seed = replicate_seed(707, 4)
-        data = simulate(AppendixDgp(), 200_000, seed)
-        spec = builtin_spec("nde")
-        order, bounds = _fold_order(spec, data, 5, seed, 50)
-        designs = FoldDesigns(data, order, bounds)
-        basis = default_basis(("A", "M", "W"), data)
+        data, order, designs, basis = _at_scale_input()
         y = designs.data.column("Y")
         for v in range(5):
-            fit = fit_logistic(basis, designs.fold(v), y, ridge=None)
-            train = data.subset(np.sort(np.delete(order, designs.block(v))))
-            grad = (basis.design(train).T @ (fit(train.columns) - train.column("Y"))
-                    / train.n + fit.ridge * fit.coef)
-            assert np.max(np.abs(grad)) < LOGISTIC_TOL, v
+            _assert_fold_gradient(fit_logistic(basis, designs.fold(v), y, ridge=None),
+                                  data, order, designs, v)
+
+    def test_every_chord_fold_fit_at_scale_meets_the_gradient_check(self, monkeypatch):
+        # the same input through fit_folds: every fold's outcome regression is
+        # a chord from the pooled fit, the one call of fit_logistic
+        data, order, designs, basis = _at_scale_input()
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit_logistic(*args, **kwargs)
+
+        monkeypatch.setattr(nuisance, "fit_logistic", counted)
+        fits, _ = fit_folds(builtin_spec("nde").instantiate(1.0), designs)
+        assert len(calls) == 1 and fits[2][0].basis == basis
+        for v, fit in enumerate(fits[2]):
+            assert fit.family == "logistic" and fit.newton_iterations > 0
+            _assert_fold_gradient(fit, data, order, designs, v)
+
+    def test_slow_chords_end_at_the_fold_fits(self, appendix_dgp):
+        # with 2 folds of n = 1000 the fold fits lie far from the pooled fit and
+        # the chords contract slowly; stopping at the first gradient below tol
+        # that did not halve left fold 0 8e-9 away from its fit
+        data = simulate(appendix_dgp, 1000, 11)
+        order, bounds = _fold_order(builtin_spec("nde"), data, 2, 3, 50)
+        designs = FoldDesigns(data, order, bounds)
+        basis, y = default_basis(("A", "M", "W"), data), designs.data.column("Y")
+        for v, fit in enumerate(fit_logistic_folds(basis, designs, y, None)):
+            want = fit_logistic(basis, designs.fold(v), y, None).coef
+            np.testing.assert_allclose(fit.coef, want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
+
+    def test_fold_whose_chord_stalls_takes_damped_newton_from_pooled_fit(self):
+        # block 1 alone is separable, so fold 0's fit runs off to saturation,
+        # where no chord from the pooled fit keeps halving the gradient
+        x = substream(3).normal(size=60)
+        y = (x > 0).astype(float)
+        y[np.argmin(x[:30])], y[np.argmax(x[:30])] = 1.0, 0.0
+        schema = (Column("X", "covariate", "real"), Column("Y", "outcome", "binary"))
+        designs = FoldDesigns(Dataset(schema, {"X": x, "Y": y}), None, (0, 30, 60))
+        basis = _linear_basis("X")
+        start = fit_logistic(basis, designs, y, 0.0, tol=POOLED_TOL).coef
+        fits = fit_logistic_folds(basis, designs, y, 0.0)
+        newton = fit_logistic(basis, designs.fold(0), y, 0.0, start=start)
+        assert np.array_equal(fits[0].coef, newton.coef) and abs(fits[0].coef[1]) > 50
+        assert fits[0].newton_iterations == newton.newton_iterations
+        raised = []
+        for fit in (lambda: fit_logistic_folds(basis, designs, y, 0.0, max_iter=12),
+                    lambda: fit_logistic(basis, designs.fold(0), y, 0.0, max_iter=12,
+                                         start=start)):
+            with pytest.raises(NonConvergenceError, match="in 12 iterations") as err:
+                fit()
+            raised.append(str(err.value))
+        assert raised[0] == raised[1]
 
     def test_requires_one_target_per_row(self, appendix_data):
         y = appendix_data.column("Y")
@@ -111,6 +157,23 @@ class TestLogistic:
         with pytest.raises(SchemaError, match="0/1"):
             fit_logistic(_linear_basis("A"), appendix_data,
                          appendix_data.column("M"), ridge=0.0)
+
+
+def _at_scale_input():
+    """(data, order, designs, basis) of the n = 200k input ``replicate_seed(707, 4)``,
+    cut into the 5 folds of its benchmark estimate."""
+    seed = replicate_seed(707, 4)
+    data = simulate(AppendixDgp(), 200_000, seed)
+    order, bounds = _fold_order(builtin_spec("nde"), data, 5, seed, 50)
+    return data, order, FoldDesigns(data, order, bounds), default_basis(("A", "M", "W"), data)
+
+
+def _assert_fold_gradient(fit, data, order, designs, v):
+    """Fold v's fit meets LOGISTIC_TOL on its training rows, recomputed from a subset."""
+    train = data.subset(np.sort(np.delete(order, designs.block(v))))
+    grad = (fit.basis.design(train).T @ (fit(train.columns) - train.column("Y"))
+            / train.n + fit.ridge * fit.coef)
+    assert np.max(np.abs(grad)) < LOGISTIC_TOL, v
 
 
 class TestStageFitting:
