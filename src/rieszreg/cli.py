@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -251,7 +252,7 @@ def _cmd_verify(args) -> int:
         write_json(_out_path(args.out), {
             "seed": args.seed,
             "config_sha256": _config_hash(args),
-            "checks": [r.to_dict() for r in results],
+            "checks": [asdict(r) for r in results],
             "all_passed": all(r.passed for r in results),
         })
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
@@ -259,16 +260,20 @@ def _cmd_verify(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     settings = _settings_from(args)
-    tasks = []
+    tasks, skipped = [], []
     for dgp_name in args.dgp:
         dgp = DGPS[dgp_name]()
         for spec_name in args.spec.split(","):
             spec = _resolve_spec(spec_name.strip())
             if not dgp.has_mediator and "M" in {v for st in spec.stages for v in st.given}:
+                skipped.append(f"{spec.name} on {dgp_name}")
                 continue  # mediator estimands need a mediator DGP
             for n in args.n:
                 tasks.append(BenchTask(dgp, spec, n, args.replicates,
                                        args.folds, args.seed, settings))
+    if not tasks:
+        raise SchemaError(f"no benchmark task remains: {', '.join(skipped)} skipped, as "
+                          f"mediator estimands need a DGP with a mediator")
     table = run_benchmark(tasks, threads=args.threads)
     out = _out_path(args.out)
     with open(out, "w", encoding="utf-8", newline="\n") as fh:

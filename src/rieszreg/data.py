@@ -302,6 +302,9 @@ class Dataset:
             raise _bad_cell(path, header) from None
         if raw.shape[0] == 0:
             raise SchemaError(f"CSV {path} has a header but no data rows")
+        if meta.get("n", raw.shape[0]) != raw.shape[0]:
+            raise SchemaError(f"CSV {path} has {raw.shape[0]} data rows, but its schema "
+                              f"sidecar {sidecar} records n = {meta['n']}")
         cols = {name: raw[:, j].copy() for j, name in enumerate(header)}
         return Dataset(schema, cols, seed=meta.get("seed"))
 

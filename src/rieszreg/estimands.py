@@ -10,11 +10,12 @@ point evaluations, linearity in the regression argument holds structurally.
 
 The document format is JSON: top-level keys ``name``, optional ``contrast``,
 and ``stages`` listed innermost-first (k = K..1); each stage has ``regress``
-("Y" or "prev"), ``given``, optional ``where``, and ``map`` (a list of
-``{"coef": c, "set": {column: value}}`` terms). Serialization is canonical:
-keys in that order, values normalized to floats, so documents round-trip
-bit-exactly. The assignment value `"a'"` marks a contrast parameter slot,
-filled in by ``EstimandSpec.instantiate``.
+("Y" or "prev"), ``given``, optional ``where`` (a subgroup that every map
+term assigns, such as the treated in ``att_control_mean``), and ``map`` (a
+list of ``{"coef": c, "set": {column: value}}`` terms). Serialization is
+canonical: keys in that order, values normalized to floats, so documents
+round-trip bit-exactly. The assignment value `"a'"` marks a contrast
+parameter slot, filled in by ``EstimandSpec.instantiate``.
 """
 
 from __future__ import annotations
@@ -229,6 +230,12 @@ def _parse_stage(raw, doc_index: int, contrast_allowed: bool) -> Stage:
             else:
                 raise SpecValidationError(f"{tag}.set[{key!r}] must be a number or {CONTRAST_TOKEN!r}")
         terms.append(MapTerm(float(coef), tuple(assignments)))
+    # no fit reads a subgroup, so a restriction must be one the map already makes
+    for key, val in where:
+        if any(dict(term.assignments).get(key) != val for term in terms):
+            raise SpecValidationError(
+                f"{where_tag}.where[{key!r}] = {val:g} is not assigned by every term of "
+                f"the stage's map; a where may only restate the map's assignments")
 
     return Stage(regress, given, where, FunctionalMap.build(terms, given))
 

@@ -56,10 +56,10 @@ class EstimatorSettings:
     degree: int = 2
     ridge: float | None = None        # None = scale-aware default, 0.0 = exact
     outcome_family: str | None = None  # None = logistic iff the outcome is binary
-    mlp: MlpConfig | None = None
     clip: float | None = None         # optional |weight| bound, with a clip count
     min_rows_per_fold: int = 50
     level: float = 0.95
+    mlp: MlpConfig | None = None      # last, as reports list the network settings last
 
     def __post_init__(self):
         for name, names in (("riesz_method", METHODS), ("riesz_basis", BASIS_POLICIES),
@@ -76,11 +76,6 @@ class EstimatorSettings:
             value = getattr(self, name)
             require(is_integer(value) and value >= 1, f"{name} must be an integer >= 1", value)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["mlp"] = d.pop("mlp")  # reports list the network settings last
-        return d
-
 
 @dataclass
 class EifTerm:
@@ -96,12 +91,6 @@ class ConfidenceInterval:
     hi: float
     level: float
 
-    def to_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "level": self.level}
-
-    def covers(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
 
 @dataclass
 class ContrastBlock:
@@ -113,27 +102,22 @@ class ContrastBlock:
     ci: ConfidenceInterval
     eif_values: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "other": self.other.to_dict(),
-            "difference": self.difference,
-            "std_error": self.std_error,
-            "ci": self.ci.to_dict(),
-            "eif_values": self.eif_values.tolist(),
-        }
-
 
 @dataclass
 class EstimateReport:
+    """One estimate with its influence values. ``to_dict`` is the JSON report:
+    the fields of this class and of the blocks it holds, in declaration order,
+    so the field order is the key order and a new key is a new field."""
+
     name: str
     theta_hat: float
     plug_in: float
-    eif_values: np.ndarray
     std_error: float
     ci: ConfidenceInterval
     n: int
     folds: int
     seed: int
+    eif_values: np.ndarray
     per_fold: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
     contrast: ContrastBlock | None = None
@@ -149,21 +133,13 @@ class EstimateReport:
         return self.contrast.ci if self.contrast is not None else self.ci
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "theta_hat": self.theta_hat,
-            "plug_in": self.plug_in,
-            "std_error": self.std_error,
-            "ci": self.ci.to_dict(),
-            "n": self.n,
-            "folds": self.folds,
-            "seed": self.seed,
-            "eif_values": self.eif_values.tolist(),
-            "per_fold": self.per_fold,
-            "diagnostics": self.diagnostics,
-            "contrast": self.contrast.to_dict() if self.contrast is not None else None,
-            "provenance": self.provenance,
-        }
+        """A copy of the report as plain JSON values."""
+        return asdict(self, dict_factory=_json_fields)
+
+
+def _json_fields(pairs) -> dict:
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +260,7 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
         "data_sha256": data.sha256(),
         "seed": seed,
         "folds": folds,
-        "settings": settings.to_dict(),
+        "settings": asdict(settings),
         "package_version": __version__,
     }
     return report
@@ -339,7 +315,6 @@ def _estimate_concrete(spec: EstimandSpec, designs: FoldDesigns,
 
 
 _INHERITED: list = []  # a forked network worker's [(specs, designs, settings)]
-_network_workers = fork_workers  # one worker per fold up to the usable cores
 
 
 def _fit_networks(specs, designs: FoldDesigns, settings: EstimatorSettings) -> None:
@@ -348,7 +323,7 @@ def _fit_networks(specs, designs: FoldDesigns, settings: EstimatorSettings) -> N
     they inherit the data and send back only the fits they made. Each fit is
     seeded per stage, so the fits equal the serial ones."""
     job, folds = (specs, designs, settings), range(designs.folds)
-    workers = _network_workers(designs.folds)
+    workers = fork_workers(designs.folds)  # one worker per fold up to the usable cores
     if workers < 2:
         made = list(map(_fold_networks, folds, [job] * designs.folds))
     else:

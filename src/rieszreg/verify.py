@@ -19,7 +19,7 @@ proving the representation check can fail.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class CheckResult:
     residual: float
     tol: float
     detail: str = ""
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _concrete_builtins():

@@ -186,11 +186,19 @@ class TestBenchmark:
 
     def test_mediator_estimand_skipped_on_discrete_dgp(self, tmp_path):
         out = tmp_path / "skip.csv"
-        run("benchmark", "--dgp", "discrete", "--spec", "nde,ate", "--n", "400",
-            "--replicates", "2", "--folds", "2", "--min-rows-per-fold", "30",
-            "--seed", "5", "--out", str(out))
+        assert run("benchmark", "--dgp", "discrete", "--spec", "nde,ate", "--n", "400",
+                   "--replicates", "2", "--folds", "2", "--min-rows-per-fold", "30",
+                   "--seed", "5", "--out", str(out)) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 2 and ",ate," in lines[1]
+
+    def test_grid_with_every_pair_skipped_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "empty.csv"
+        assert run("benchmark", "--dgp", "discrete", "--spec", "nde", "--n", "500",
+                   "--replicates", "2", "--seed", "1", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "no benchmark task remains: nde on discrete skipped" in err
+        assert "Traceback" not in err and not out.exists()
 
 
 class TestErrorCodes:
@@ -249,12 +257,16 @@ def _exit_code(argv):
         return exc.code
 
 
-def _write_csv(tmp_path, body):
-    # schema sidecar from a real simulated file, rows replaced by ``body``
+def _write_csv(tmp_path, body, rows=None):
+    # schema sidecar from a real simulated file that records ``rows`` rows
+    # (default: the lines of ``body``), rows replaced by ``body``
     path = tmp_path / "bad.csv"
     assert run("simulate", "--dgp", "discrete", "--n", "20", "--seed", "1",
                "--out", str(path)) == 0
     path.write_text("W,A,Y\n" + body)
+    sidecar = tmp_path / "bad.csv.schema.json"
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "n": body.count("\n") if rows is None else rows}))
     return path
 
 
@@ -265,8 +277,8 @@ def _params(tmp_path, text):
             "--seed", "1", "--out", str(tmp_path / "x.csv")]
 
 
-def _estimate(tmp_path, *flags, body="1,0,1\n0,1,0\n" * 40):
-    return ["estimate", "--data", str(_write_csv(tmp_path, body)), "--spec", "ate",
+def _estimate(tmp_path, *flags, body="1,0,1\n0,1,0\n" * 40, rows=None):
+    return ["estimate", "--data", str(_write_csv(tmp_path, body, rows)), "--spec", "ate",
             "--folds", "2", "--min-rows-per-fold", "10", "--seed", "1",
             "--out", str(tmp_path / "r.json"), *flags]
 
@@ -286,8 +298,31 @@ def _coef_spec(tmp_path, coef):
     return _estimate(tmp_path, "--spec", str(path))
 
 
-# outermost stages over E[Y | A, W] mapped by f(A=1) whose map is not one
-# coefficient-1 term, the only map the estimator's outer weight is right for
+def _outer_over_treated(label, given, terms) -> dict:
+    """E[Y | A, W] mapped by f(A=1), then an outer stage on ``given`` mapped
+    by ``terms``, a list of (coef, assignments)."""
+    return {"name": label, "stages": [
+        {"regress": "Y", "given": ["A", "W"], "map": [{"coef": 1.0, "set": {"A": 1}}]},
+        {"regress": "prev", "given": given,
+         "map": [{"coef": coef, "set": assigned} for coef, assigned in terms]}]}
+
+
+def _refused_document(doc, match, tmp_path, capsys) -> str:
+    """The parser refuses ``doc`` matching ``match``, and an estimate on it
+    exits 3; returns the CLI's stderr."""
+    with pytest.raises(rieszreg.SpecValidationError, match=match):
+        parse_spec(json.dumps(doc))
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(_estimate(tmp_path, "--spec", str(path))) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+# outer maps that are not one coefficient-1 term, the only map the
+# estimator's outer weight is right for
 BAD_OUTER_STAGES = {
     "coef 2": ([], [(2.0, {})]),
     "two unit terms": ([], [(1.0, {}), (1.0, {})]),
@@ -298,19 +333,27 @@ BAD_OUTER_STAGES = {
 
 @pytest.mark.parametrize("label", BAD_OUTER_STAGES)
 def test_outer_map_other_than_one_unit_term_is_refused(label, tmp_path, capsys):
-    given, terms = BAD_OUTER_STAGES[label]
-    doc = {"name": label, "stages": [
-        {"regress": "Y", "given": ["A", "W"], "map": [{"coef": 1.0, "set": {"A": 1}}]},
-        {"regress": "prev", "given": given,
-         "map": [{"coef": coef, "set": assigned} for coef, assigned in terms]}]}
-    with pytest.raises(rieszreg.SpecValidationError, match="exactly one term with coefficient 1"):
-        parse_spec(json.dumps(doc))
-    path = tmp_path / "outer.json"
-    path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(_estimate(tmp_path, "--spec", str(path))) == 3
-    err = capsys.readouterr().err
-    assert "stage 2's map" in err and "contrast" in err and "Traceback" not in err
+    doc = _outer_over_treated(label, *BAD_OUTER_STAGES[label])
+    err = _refused_document(doc, "exactly one term with coefficient 1", tmp_path, capsys)
+    assert "stage 2's map" in err and "contrast" in err
+
+
+# a ``where`` that its stage's map does not restate: no fit restricts to a
+# subgroup, so each estimated the unrestricted functional
+UNRESTATED_WHERES = {
+    "outer contradicts map": (1, ["W"], {"W": 0}),
+    "inner not assigned": (0, [], {}),
+}
+
+
+@pytest.mark.parametrize("label", UNRESTATED_WHERES)
+def test_where_the_map_does_not_restate_is_refused(label, tmp_path, capsys):
+    index, given, assigned = UNRESTATED_WHERES[label]
+    doc = _outer_over_treated(label, given, [(1.0, assigned)])
+    doc["stages"][index]["where"] = {"W": 1}
+    message = rf"stages\[{index}\]\.where\['W'\] = 1 is not assigned by every term"
+    err = _refused_document(doc, message, tmp_path, capsys)
+    assert f"stages[{index}].where['W']" in err
 
 
 def _undecodable_csv(tmp_path, header=b"W,A,Y", cell=b"1"):
@@ -354,6 +397,8 @@ BAD_INPUTS = [
      "line 3, column 'W': '#0' is not a number"),
     ("python-only number cell", lambda t: _estimate(t, body="1,0,1\n0,0_0,0\n" * 40), {}, 3,
      "line 3, column 'A': '0_0' is not a number"),
+    ("truncated csv", lambda t: _estimate(t, rows=100), {}, 3,
+     "bad.csv has 80 data rows, but its schema sidecar"),
     ("truncated sidecar", lambda t: _sidecar(t, '{"columns": ['), {}, 3, "bad.csv.schema.json"),
     ("sidecar without columns", lambda t: _sidecar(t, '{"cols": []}'), {}, 3,
      "bad.csv.schema.json"),

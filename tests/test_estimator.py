@@ -230,6 +230,35 @@ class TestReportInvariants:
         assert len(payload["eif_values"]) == discrete_data.n
         assert json.loads(text)["n"] == discrete_data.n
 
+    def test_report_key_order_is_pinned(self, appendix_data, discrete_data):
+        # report keys are only ever added, so reordering a report field fails here
+        arm = ["name", "theta_hat", "plug_in", "std_error", "ci", "n", "folds", "seed",
+               "eif_values", "per_fold", "diagnostics", "contrast", "provenance"]
+        settings = ["riesz_method", "riesz_basis", "nuisance_basis", "degree", "ridge",
+                    "outcome_family", "clip", "min_rows_per_fold", "level", "mlp"]
+        payload = one_step_estimate(builtin_spec("nde"), appendix_data, folds=2,
+                                    seed=3).to_dict()
+        assert list(payload) == arm
+        assert list(payload["ci"]) == ["lo", "hi", "level"]
+        assert list(payload["contrast"]) == ["other", "difference", "std_error", "ci",
+                                             "eif_values"]
+        assert list(payload["contrast"]["other"]) == arm
+        assert list(payload["per_fold"][0]) == ["fold", "n_eval", "n_train", "plug_in",
+                                                "alpha1_mean_raw", "riesz_fitted_loss"]
+        assert list(payload["provenance"]) == ["spec_sha256", "data_sha256", "seed",
+                                               "folds", "settings", "package_version"]
+        assert list(payload["provenance"]["settings"]) == settings
+        assert payload["provenance"]["settings"]["mlp"] is None
+        network = EstimatorSettings(riesz_method="mlp", mlp=MlpConfig(epochs=2))
+        mlp = one_step_estimate(builtin_spec("ate"), discrete_data, network, folds=2,
+                                seed=3).to_dict()["provenance"]["settings"]
+        assert list(mlp) == settings
+        assert list(mlp["mlp"]) == ["hidden_layers", "width", "learning_rate", "beta1",
+                                    "beta2", "adam_eps", "epochs", "batch_size", "seed"]
+        single = one_step_estimate(builtin_spec("ate"), discrete_data, folds=2,
+                                   seed=3).to_dict()
+        assert list(single) == arm and single["contrast"] is None
+
     def test_clipping_is_counted(self, discrete_data):
         settings = EstimatorSettings(riesz_basis="saturated",
                                      nuisance_basis="saturated", clip=1.0,
@@ -469,7 +498,7 @@ class TestArmSharing:
 
         monkeypatch.setattr(riesz, "fit_mlp", logged)
         for workers in (1, 2):
-            monkeypatch.setattr(estimator, "_network_workers", lambda folds: workers)
+            monkeypatch.setattr(estimator, "fork_workers", lambda folds: workers)
             log.write_text("")
             one_step_estimate(builtin_spec("nde"), appendix_data, self.MLP, folds=5, seed=4)
             pids = log.read_text().split()
@@ -522,7 +551,7 @@ class TestArmSharing:
 def _report_json(spec, data, settings, folds, workers, monkeypatch):
     """The estimate's report with the networks trained by ``workers`` fold
     workers (1 = serial, in process)."""
-    monkeypatch.setattr(estimator, "_network_workers", lambda folds: workers)
+    monkeypatch.setattr(estimator, "fork_workers", lambda folds: workers)
     report = one_step_estimate(spec, data, settings, folds=folds, seed=3)
     assert multiprocessing.active_children() == []
     return json.dumps(report.to_dict())
@@ -589,7 +618,7 @@ class TestForkedNetworkFolds:
                      "--out", str(data)]) == 0
         outputs = []
         for workers in (1, 2):
-            monkeypatch.setattr(estimator, "_network_workers", lambda folds: workers)
+            monkeypatch.setattr(estimator, "fork_workers", lambda folds: workers)
             out = tmp_path / "r.json"  # the report hashes the command line
             assert main(["estimate", "--data", str(data), "--spec", "nde", "--method", "mlp",
                          "--mlp-epochs", "20", "--mlp-lr", lr, "--folds", "4", "--seed", "2",

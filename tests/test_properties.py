@@ -219,19 +219,27 @@ def estimand_documents(draw):
             names = given if outermost else draw(_subsets(given))
             terms.append({"coef": 1.0 if outermost else draw(coefs),
                           "set": {name: draw(assigned_values) for name in names}})
-        stage = {"regress": "Y" if index == 0 else "prev", "given": given}
-        where = draw(_subsets(given))
-        if where:
-            stage["where"] = {name: draw(assigned_values) for name in where}
-        stage["map"] = terms
-        stages.append(stage)
+        stages.append({"regress": "Y" if index == 0 else "prev", "given": given, "map": terms})
     doc = {"name": draw(st.text(min_size=1)), "stages": stages}
     slots = [term["set"] for stage in stages for term in stage["map"] if term["set"]]
     if slots and draw(st.booleans()):
         doc["contrast"] = [draw(assigned_values), draw(assigned_values)]
         first = slots[draw(st.integers(0, len(slots) - 1))]
         first[next(iter(first))] = "a'"
+    for stage in stages:
+        where = draw(restated_where(stage["map"]))
+        if where:
+            stage["where"] = where
     return doc
+
+
+@st.composite
+def restated_where(draw, terms):
+    """A ``where`` that restates constants every map term assigns, the only
+    kind the parser accepts."""
+    common = sorted(name for name, value in terms[0]["set"].items()
+                    if value != "a'" and all(term["set"].get(name) == value for term in terms))
+    return {name: terms[0]["set"][name] for name in draw(_subsets(common))}
 
 
 @PROPERTY_SETTINGS
@@ -244,7 +252,8 @@ def test_format_parse_format_is_identity(doc):
 @st.composite
 def mean_documents(draw):
     """Documents on the columns A and W of ``DiscreteDgp``: depth 1-3, random
-    inner map terms and ``where`` subgroups, one coefficient-1 outer term."""
+    inner map terms, ``where`` subgroups that restate them, and one
+    coefficient-1 outer term."""
     depth = draw(st.integers(1, 3))
     inner = draw(st.lists(st.sampled_from(("A", "W")), min_size=1, unique=True))
     stages = []
@@ -257,9 +266,9 @@ def mean_documents(draw):
                       "set": {name: draw(levels) for name in draw(_subsets(given))}}
                      for _ in range(draw(st.integers(1, 2)))]
         stage = {"regress": "Y" if index == 0 else "prev", "given": given}
-        where = draw(_subsets(given))
+        where = draw(restated_where(terms))
         if where:
-            stage["where"] = {name: draw(levels) for name in where}
+            stage["where"] = where
         stages.append({**stage, "map": terms})
     return {"name": "drawn", "stages": stages}
 
