@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import is_integer, require
 from .estimands import EstimandSpec
 from .estimator import EstimatorSettings, one_step_estimate
 from .simulate import oracle_value, simulate, truth_report
@@ -30,8 +30,9 @@ class BenchTask:
     settings: EstimatorSettings = field(default_factory=EstimatorSettings)
 
     def __post_init__(self):
-        if self.replicates < 1 or self.n < 1:
-            raise SchemaError("replicates and n must be >= 1")
+        for name, low in (("n", 1), ("replicates", 1), ("folds", 1), ("seed", 0)):
+            got = getattr(self, name)
+            require(is_integer(got) and got >= low, f"{name} must be an integer >= {low}", got)
 
 
 def replicate_seed(task_seed: int, rep: int) -> int:
@@ -61,14 +62,16 @@ def run_replicate(task: BenchTask, rep: int) -> dict:
 
 def run_task(task: BenchTask, threads: int = 1) -> list[dict]:
     """All replicate rows for one task, in replicate order."""
-    reps = range(task.replicates)
+    require(is_integer(threads) and threads >= 1, "threads must be an integer >= 1", threads)
     if threads <= 1 or task.replicates == 1:
-        return [run_replicate(task, rep) for rep in reps]
-    from concurrent.futures import ProcessPoolExecutor  # loaded only when pooling
-
-    with ProcessPoolExecutor(max_workers=threads) as pool:  # map yields in input order
-        return list(pool.map(run_replicate, [task] * task.replicates, reps,
-                             chunksize=max(1, task.replicates // (4 * threads))))
+        return [run_replicate(task, rep) for rep in range(task.replicates)]
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor  # pooling only
+    try:
+        with ProcessPoolExecutor(max_workers=threads) as pool:  # map yields in input order
+            return list(pool.map(run_replicate, [task] * task.replicates, range(task.replicates),
+                                 chunksize=max(1, task.replicates // (4 * threads))))
+    except BrokenProcessPool as exc:  # a worker died: an I/O error, as in forked_map
+        raise ChildProcessError(f"a benchmark worker process ended early ({exc})") from None
 
 
 def summarize(task: BenchTask, rows: list[dict], truth: float) -> dict:

@@ -4,16 +4,19 @@ A Dataset is a small column-major table: one float64 array per column plus a
 schema describing each column's role (covariate, treatment, mediator, outcome)
 and support (binary, categorical with levels, real). CSV export writes a
 sidecar JSON document holding the schema so files round-trip losslessly.
-Both writers may share their number formatting with a forked second process;
-``fork_workers`` is the package's one gate on forking.
+``forked_map`` shares independent items with forked children: the writers'
+number text, and an estimate's network folds; ``fork_workers`` is its gate.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import pickle
+import select
 import sys
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -57,55 +60,66 @@ def fork_workers(parts: int) -> int:
     return max(1, min(parts, len(os.sched_getaffinity(0))))
 
 
-def _part_bounds(n: int) -> list[int]:
-    """Bounds of ``n`` items cut into equal parts of at most CHUNK items."""
-    parts = max(1, -(-n // CHUNK))
-    return [n * i // parts for i in range(parts + 1)]
-
-
-def _write_parts(fh, pieces: list) -> None:
-    """Write ``pieces`` in order: strings, and parts whose text a call gives.
-    When ``fork_workers`` grants two processes, a forked child formats every
-    other part and streams each through a pipe as its length and its bytes,
-    while the parent formats the rest; a part the child does not send makes
-    the write raise, and the child is reaped whatever happens."""
-    parts, pid = [piece for piece in pieces if callable(piece)], None
-    if fork_workers(len(parts)) > 1:
-        read, write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: the parent formats every part
-            os.close(read)
-            os.close(write)
-        if pid == 0:
+def forked_map(fn, items):
+    """Yield ``fn(item)`` for each of the sequence ``items``, in order. With w =
+    ``fork_workers(len(items))`` > 1, forked child j computes items j, j + w, ... and
+    pipes each result, or its error, pickled; the parent computes the rest, one ahead
+    while a child works. A failed fork leaves its items to the parent; a missing
+    result raises ``ChildProcessError``. Closing the generator reaps the children."""
+    def outcomes(share, wrap=lambda outcome: outcome):
+        for item in share:
             try:
-                os.close(read)
-                with open(write, "wb") as pipe:
-                    for part in parts[1::2]:
-                        text = part().encode()
-                        pipe.write(len(text).to_bytes(8, "little") + text)
-            finally:  # on an error too: a part not sent makes the parent raise
-                os._exit(0)
-        if pid:
-            os.close(write)
-            pipe = open(read, "rb")
-    texts = (_received(pipe) if pid and i % 2 else part() for i, part in enumerate(parts))
+                yield wrap((True, fn(item)))
+            except Exception as exc:  # fn's error, or wrap's (a result pickle refuses)
+                yield wrap((False, exc))
+
+    workers, children, ahead = fork_workers(len(items)), {}, None
     try:
-        for piece in pieces:
-            fh.write(next(texts) if callable(piece) else piece)
+        for j in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the parent computes the rest
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                try:
+                    os.close(read)
+                    with open(write, "wb") as pipe:  # each result pickled whole, then sent
+                        for message in outcomes(items[j::workers], pickle.dumps):
+                            pipe.write(message)
+                            pipe.flush()  # else the parent waits on a result's tail
+                finally:  # on an error too: a result not sent makes the parent raise
+                    os._exit(0)
+            os.close(write)
+            children[j] = pid, open(read, "rb"), select.poll()  # poll: select caps fds at 1024
+            children[j][2].register(read, select.POLLIN)
+        own = outcomes([item for i, item in enumerate(items) if i % workers not in children])
+        for i in range(len(items)):
+            if i % workers not in children:
+                (ok, result), ahead = ahead or next(own), None
+            else:
+                _, pipe, arriving = children[i % workers]
+                if ahead is None and not arriving.poll(0):
+                    ahead = next(own, None)  # the parent's next result, while the child works
+                try:
+                    ok, result = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise ChildProcessError(f"forked child ended before sending item {i}") from None
+            if not ok:
+                raise result
+            yield result
     finally:
-        if pid:
-            pipe.close()  # ends a child still writing
+        for pid, pipe, _ in children.values():
+            pipe.close()  # ends a child still sending
             os.waitpid(pid, 0)
 
 
-def _received(pipe) -> str:
-    """The text of the child's next part; raises if the child sent less."""
-    size = int.from_bytes(pipe.read(8), "little")
-    text = pipe.read(size)
-    if not size or len(text) < size:
-        raise ChildProcessError("the writer's second process ended early")
-    return text.decode()
+def _parts(n: int) -> list[slice]:
+    """``n`` items cut into equal parts of at most CHUNK items."""
+    parts = max(1, -(-n // CHUNK))
+    return [slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)]
 
 
 def write_json(path, payload) -> None:
@@ -116,10 +130,12 @@ def write_json(path, payload) -> None:
     Here nonempty containers are laid out item by item, scalars and empty
     containers are ``json.dumps`` text, and a nonempty list of plain ints and
     floats is encoded by the C encoder, its ", " separators turned into
-    indented line breaks, in equal parts of at most CHUNK items that two
-    processes may share (see ``_write_parts``)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_parts(fh, [*_json_pieces(payload, "\n"), "\n"])
+    indented line breaks, in equal parts of at most CHUNK items that
+    ``forked_map`` shares out."""
+    pieces = [*_json_pieces(payload, "\n"), "\n"]
+    texts = forked_map(lambda part: part(), [piece for piece in pieces if callable(piece)])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh, closing(texts):
+        fh.writelines(next(texts) if callable(piece) else piece for piece in pieces)
 
 
 def _json_pieces(value, margin: str):
@@ -135,8 +151,7 @@ def _json_pieces(value, margin: str):
             yield from _json_pieces(item, inner)
         yield margin + "}"
     elif set(map(type, value)) <= {int, float}:  # a number array: the C encoder per part
-        bounds = _part_bounds(len(value))
-        yield from (partial(_numbers, value, a, b, inner) for a, b in zip(bounds, bounds[1:]))
+        yield from (partial(_numbers, value, part, inner) for part in _parts(len(value)))
         yield margin + "]"
     else:
         for i, item in enumerate(value):
@@ -145,10 +160,10 @@ def _json_pieces(value, margin: str):
         yield margin + "]"
 
 
-def _numbers(value: list, start: int, stop: int, inner: str) -> str:
-    """Items start:stop of a number array, each on its own line."""
-    text = json.dumps(value[start:stop])[1:-1]
-    return ("," if start else "[") + inner + text.replace(", ", "," + inner)
+def _numbers(value: list, part: slice, inner: str) -> str:
+    """A part of a number array, each item on its own line."""
+    text = json.dumps(value[part])[1:-1]
+    return ("," if part.start else "[") + inner + text.replace(", ", "," + inner)
 
 
 def constant_one(cols) -> np.ndarray:
@@ -254,16 +269,16 @@ class Dataset:
     def to_csv(self, path, schema_path=None) -> None:
         """Write rows as CSV (comma, '.' decimal, header, LF, UTF-8) plus a
         JSON schema sidecar (default: path with a .schema.json suffix). The
-        rows are formatted in equal parts of at most CHUNK rows, which two
-        processes may share (see ``_write_parts``); the bytes are the same."""
-        bounds = _part_bounds(self.n)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            _write_parts(fh, [",".join(c.name for c in self.schema) + "\n"]
-                         + [partial(self._rows, a, b) for a, b in zip(bounds, bounds[1:])])
+        rows are formatted in equal parts of at most CHUNK rows, which
+        ``forked_map`` shares out; the bytes are the same."""
+        rows = forked_map(self._rows, _parts(self.n))
+        with open(path, "w", encoding="utf-8", newline="\n") as fh, closing(rows):
+            fh.write(",".join(c.name for c in self.schema) + "\n")
+            fh.writelines(rows)
         write_json(self._sidecar(path, schema_path), self.schema_dict())
 
-    def _rows(self, start: int, stop: int) -> str:
-        cells = [_cells(col, self.columns[col.name][start:stop]) for col in self.schema]
+    def _rows(self, rows: slice) -> str:
+        cells = [_cells(col, self.columns[col.name][rows]) for col in self.schema]
         return "\n".join(map(",".join, zip(*cells))) + "\n"
 
     def schema_dict(self) -> dict:

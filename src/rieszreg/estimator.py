@@ -24,11 +24,13 @@ whose stage chain agrees reuses that fit. Fits are keyed by the settings and
 content they depend on, never by the arm value: the regression Q_k by stage k's
 conditioning set and subgroup, the stage-(k+1) map and the key of Q_{k+1};
 the weight a_k by stage k and the key of a_{k-1}. In ``nde`` both arms share
-the outcome regression and the stage-2 weight.
+the outcome regression and the stage-2 weight. Network weights, the slow
+fits, are made first, one fold per item of ``data.forked_map``.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .basis import BASIS_POLICIES, FoldDesigns, make_basis
-from .data import Dataset, fork_workers
+from .data import Dataset, forked_map
 from .errors import (DegenerateFoldError, NonFiniteEifError, RieszregError, SchemaError,
                      is_integer, is_real, require)
 from .estimands import EstimandSpec, apply_map, validate_binding
@@ -314,37 +316,17 @@ def _estimate_concrete(spec: EstimandSpec, designs: FoldDesigns,
         seed=seed, per_fold=per_fold, diagnostics={"clipped_weights": clipped})
 
 
-_INHERITED: list = []  # a forked network worker's [(specs, designs, settings)]
-
-
 def _fit_networks(specs, designs: FoldDesigns, settings: EstimatorSettings) -> None:
-    """Fit every fold's network chains for every arm into ``designs.fits``,
-    one task per fold, on forked workers when more than one core is usable:
-    they inherit the data and send back only the fits they made. Each fit is
-    seeded per stage, so the fits equal the serial ones."""
-    job, folds = (specs, designs, settings), range(designs.folds)
-    workers = fork_workers(designs.folds)  # one worker per fold up to the usable cores
-    if workers < 2:
-        made = list(map(_fold_networks, folds, [job] * designs.folds))
-    else:
-        import multiprocessing  # the pool machinery loads only for network estimates
-        from concurrent.futures import ProcessPoolExecutor
+    """Fit every fold's network chains for every arm into ``designs.fits``."""
+    def fold_fits(v: int) -> list:
+        before = set(designs.fits)
+        for spec in specs:
+            fit_sequential(spec, designs.fold(v), method="mlp", basis_policy=settings.riesz_basis,
+                           degree=settings.degree, ridge=settings.ridge, mlp_config=settings.mlp)
+        return [(key, fit) for key, fit in designs.fits.items() if key not in before]
 
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_INHERITED.append, initargs=(job,)) as pool:
-            made = list(pool.map(_fold_networks, folds))
-    for pairs in made:
-        designs.fits.update(pairs)
-
-
-def _fold_networks(v: int, job=None) -> list:
-    """Fit fold v's network chains; return the (key, fit) pairs added."""
-    specs, designs, settings = job if job is not None else _INHERITED[0]
-    before = set(designs.fits)
-    for spec in specs:
-        fit_sequential(spec, designs.fold(v), method="mlp", basis_policy=settings.riesz_basis,
-                       degree=settings.degree, ridge=settings.ridge, mlp_config=settings.mlp)
-    return [(key, fit) for key, fit in designs.fits.items() if key not in before]
+    with closing(forked_map(fold_fits, range(designs.folds))) as made:
+        designs.fits.update(pair for pairs in made for pair in pairs)
 
 
 def _held_out(fit, designs: FoldDesigns, rows: slice) -> np.ndarray:

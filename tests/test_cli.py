@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -199,6 +200,25 @@ class TestBenchmark:
         err = capsys.readouterr().err
         assert "no benchmark task remains: nde on discrete skipped" in err
         assert "Traceback" not in err and not out.exists()
+
+
+    def test_a_dead_worker_ends_with_exit_5(self, tmp_path, monkeypatch, capsys):
+        bench = sys.modules["rieszreg.bench"]
+        draw, dying_seed = bench.simulate, bench.replicate_seed(5, 1)
+
+        def dying(dgp, n, seed):  # runs in a pool worker, as --threads 2 pools
+            if seed == dying_seed:
+                os._exit(9)
+            return draw(dgp, n, seed)
+
+        monkeypatch.setattr(bench, "simulate", dying)
+        out = tmp_path / "t.csv"
+        assert run("benchmark", "--dgp", "discrete", "--spec", "ate", "--n", "400",
+                   "--replicates", "2", "--folds", "2", "--min-rows-per-fold", "30",
+                   "--seed", "5", "--threads", "2", "--out", str(out)) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error (io): a benchmark worker") and "Traceback" not in err
+        assert not out.exists() and multiprocessing.active_children() == []
 
 
 class TestErrorCodes:
@@ -508,13 +528,38 @@ def _child_env() -> dict:
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # rieszreg needs only numpy, and the process-pool machinery loads only
-    # when an estimate or a benchmark forks; scipy alone would double the import
+    # when a benchmark runs on a pool; scipy alone would double the import
     probe = ("import sys, rieszreg.cli, rieszreg.bench; print(rieszreg.__file__, *sorted("
              "m for m in sys.modules if m.partition('.')[0] in ('scipy', 'multiprocessing')"
              " or m.startswith('concurrent.futures')))")
     out = subprocess.run([sys.executable, "-c", probe], env=_child_env(), check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == [rieszreg.__file__]
+
+
+FORKED_RUN = """
+import os, sys, tempfile
+from rieszreg import AppendixDgp, EstimatorSettings, MlpConfig, builtin_spec, data
+from rieszreg import one_step_estimate, simulate
+
+data.fork_workers, data.CHUNK = (lambda parts: 2), 8
+forks = []
+os.register_at_fork(before=lambda: forks.append(1))
+report = one_step_estimate(builtin_spec("nde"), simulate(AppendixDgp(), 300, 1),
+                           EstimatorSettings(riesz_method="mlp", mlp=MlpConfig(epochs=5)), 3)
+with tempfile.TemporaryDirectory() as folder:
+    data.write_json(os.path.join(folder, "r.json"), report.to_dict())
+print(len(forks), *sorted(m for m in sys.modules if m.partition(".")[0] == "multiprocessing"
+                          or m.startswith("concurrent.futures")))
+"""
+
+
+def test_forked_estimate_and_write_load_no_process_pool():
+    # the network folds and the writers fork through one generator of their own
+    done = subprocess.run([sys.executable, "-c", FORKED_RUN], env=_child_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["2"]  # one fork for the folds, one for the write
 
 
 NO_SCIPY = """

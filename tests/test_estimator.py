@@ -31,6 +31,7 @@ from rieszreg import (
     verify_orthogonality,
 )
 from rieszreg import Basis, basis as basis_module, estimator, nuisance, riesz, substream
+from rieszreg import bench, data as data_module
 from rieszreg.bench import BenchTask, run_task
 from rieszreg.basis import FoldDesigns
 from rieszreg.estimands import spec_from_document
@@ -401,6 +402,32 @@ def test_bad_arguments_are_refused_before_any_fit(settings, call, discrete_data,
                           **call)
 
 
+# replicates=True ran one replicate, fractional counts ended in a TypeError and
+# a negative seed in numpy's ValueError
+BAD_BENCH_ARGUMENTS = [
+    ("boolean replicates", {"replicates": True}, {}),
+    ("fractional replicates", {"replicates": 2.5}, {}),
+    ("zero n", {"n": 0}, {}),
+    ("fractional folds", {"folds": 1.5}, {}),
+    ("negative seed", {"seed": -1}, {}),
+    ("fractional threads", {}, {"threads": 2.5}),
+    ("zero threads", {}, {"threads": 0}),
+]
+
+
+@pytest.mark.parametrize("task,call", [c[1:] for c in BAD_BENCH_ARGUMENTS],
+                         ids=[c[0] for c in BAD_BENCH_ARGUMENTS])
+def test_bad_bench_arguments_are_refused_before_any_replicate(task, call, discrete_dgp,
+                                                              monkeypatch):
+    def no_replicate(*args):
+        raise AssertionError("ran a replicate before the arguments were checked")
+
+    monkeypatch.setattr(bench, "run_replicate", no_replicate)
+    with pytest.raises(SchemaError, match="|".join({**task, **call})):
+        run_task(BenchTask(discrete_dgp, builtin_spec("ate"),
+                           **{"n": 200, "replicates": 2, "folds": 2, "seed": 1, **task}), **call)
+
+
 def test_basis_policy_is_checked_without_conditioning_columns(discrete_data):
     # an empty conditioning set resolves to the intercept under every policy
     with pytest.raises(SchemaError, match="policy"):
@@ -498,12 +525,12 @@ class TestArmSharing:
 
         monkeypatch.setattr(riesz, "fit_mlp", logged)
         for workers in (1, 2):
-            monkeypatch.setattr(estimator, "fork_workers", lambda folds: workers)
+            monkeypatch.setattr(data_module, "fork_workers", lambda folds: workers)
             log.write_text("")
             one_step_estimate(builtin_spec("nde"), appendix_data, self.MLP, folds=5, seed=4)
             pids = log.read_text().split()
             assert len(pids) == 15  # the stage-2 weight once, the stage-3 weight per arm
-            assert (str(os.getpid()) in pids) == (workers == 1)
+            assert str(os.getpid()) in pids and len(set(pids)) == workers
 
     def test_single_estimand_fit_counts(self, discrete_data, monkeypatch):
         calls = [_count_calls(monkeypatch, nuisance, "fit_logistic"),
@@ -551,7 +578,7 @@ class TestArmSharing:
 def _report_json(spec, data, settings, folds, workers, monkeypatch):
     """The estimate's report with the networks trained by ``workers`` fold
     workers (1 = serial, in process)."""
-    monkeypatch.setattr(estimator, "fork_workers", lambda folds: workers)
+    monkeypatch.setattr(data_module, "fork_workers", lambda folds: workers)
     report = one_step_estimate(spec, data, settings, folds=folds, seed=3)
     assert multiprocessing.active_children() == []
     return json.dumps(report.to_dict())
@@ -618,7 +645,7 @@ class TestForkedNetworkFolds:
                      "--out", str(data)]) == 0
         outputs = []
         for workers in (1, 2):
-            monkeypatch.setattr(estimator, "fork_workers", lambda folds: workers)
+            monkeypatch.setattr(data_module, "fork_workers", lambda folds: workers)
             out = tmp_path / "r.json"  # the report hashes the command line
             assert main(["estimate", "--data", str(data), "--spec", "nde", "--method", "mlp",
                          "--mlp-epochs", "20", "--mlp-lr", lr, "--folds", "4", "--seed", "2",
@@ -626,6 +653,39 @@ class TestForkedNetworkFolds:
             outputs.append(out.read_bytes() if code == 0 else None)
             assert multiprocessing.active_children() == []
         assert outputs[0] == outputs[1]
+
+    def test_a_failed_fork_leaves_the_folds_serial(self, appendix_dgp, monkeypatch):
+        args = (builtin_spec("nde"), simulate(appendix_dgp, 300, 4),
+                EstimatorSettings(riesz_method="mlp", mlp=MlpConfig(epochs=10)), 3)
+        serial = _report_json(*args, 1, monkeypatch)
+
+        def no_fork():
+            raise BlockingIOError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _report_json(*args, 2, monkeypatch) == serial
+
+    def test_a_dead_worker_ends_the_cli_with_exit_5(self, tmp_path, monkeypatch, capsys):
+        from rieszreg.cli import main
+        data = tmp_path / "d.csv"
+        assert main(["simulate", "--dgp", "appendix", "--n", "400", "--seed", "2",
+                     "--out", str(data)]) == 0
+        parent, fit_mlp = os.getpid(), riesz.fit_mlp
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(9)
+            return fit_mlp(*args, **kwargs)
+
+        monkeypatch.setattr(riesz, "fit_mlp", dying)
+        monkeypatch.setattr(data_module, "fork_workers", lambda folds: 2)
+        capsys.readouterr()
+        assert main(["estimate", "--data", str(data), "--spec", "nde", "--method", "mlp",
+                     "--mlp-epochs", "5", "--folds", "4", "--seed", "2",
+                     "--out", str(tmp_path / "r.json")]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error (io): forked child ended") and "Traceback" not in err
+        assert multiprocessing.active_children() == []
 
     def test_estimate_in_a_pool_worker_forks_nothing(self, appendix_dgp, monkeypatch):
         args = (builtin_spec("nde"), simulate(appendix_dgp, 300, 4),

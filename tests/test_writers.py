@@ -1,17 +1,23 @@
-"""The writers' second process: ``write_json`` and ``Dataset.to_csv`` write
-the same bytes whether a forked child formats every other part or not, a
-failing child makes the write raise, and no child outlives a write."""
+"""The forked map and the writers on it: ``forked_map`` yields what ``map``
+does, errors included; ``write_json`` and ``Dataset.to_csv`` write the same
+bytes whether a forked child formats every other part or not, a failing
+child makes the write raise, and no child outlives a write."""
 
 import json
 import multiprocessing
 import os
+import pickle
+import resource
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hypothesis_settings
+from hypothesis import strategies as st
 
 from rieszreg import data as data_module
-from rieszreg.data import Column, Dataset, fork_workers, write_json
+from rieszreg.data import Column, Dataset, fork_workers, forked_map, write_json
 
 CHUNK = 8  # items or rows per part, so that small payloads span many parts
 LENGTHS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
@@ -42,12 +48,8 @@ WRITERS = {"json": lambda path: write_json(path, _payload()),
            "csv": lambda path: _dataset().to_csv(path)}
 
 
-@pytest.fixture
-def forked(monkeypatch):
-    """Small parts and a switch: ``forked(True)`` lets a write fork its second
-    process on any core count, ``forked(False)`` keeps it serial. Returns the
-    list of the pids the writes forked."""
-    monkeypatch.setattr(data_module, "CHUNK", CHUNK)
+def _count_forks(monkeypatch) -> list:
+    """Patch ``os.fork`` to record each child's pid; returns the list."""
     pids, fork = [], os.fork
 
     def counted():
@@ -57,6 +59,16 @@ def forked(monkeypatch):
         return pid
 
     monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """Small parts and a switch: ``forked(True)`` lets a write fork its second
+    process on any core count, ``forked(False)`` keeps it serial. Returns the
+    list of the pids the writes forked."""
+    monkeypatch.setattr(data_module, "CHUNK", CHUNK)
+    pids = _count_forks(monkeypatch)
 
     def switch(on: bool) -> list:
         workers = 2 if on else 1
@@ -101,20 +113,25 @@ def test_to_csv_is_the_same_on_both_paths(tmp_path, forked):
 
 
 @pytest.mark.parametrize("writer", list(WRITERS))
-@pytest.mark.parametrize("side", ["child", "parent"])
+@pytest.mark.parametrize("side", ["child", "parent", "dead child"])
 def test_a_failing_part_makes_the_write_raise(tmp_path, forked, monkeypatch, writer, side):
     pids, parent = forked(True), os.getpid()
     name, owner = ("_numbers", data_module) if writer == "json" else ("_rows", Dataset)
     formatter = getattr(owner, name)
 
     def failing(*args):  # the parent fails only once its child is running
-        if os.getpid() != parent if side == "child" else pids:
+        if side == "parent" and pids:
+            raise RuntimeError("formatter failed")
+        if side != "parent" and os.getpid() != parent:
+            if side == "dead child":
+                os._exit(9)
             raise RuntimeError("formatter failed")
         return formatter(*args)
 
     monkeypatch.setattr(owner, name, failing)
-    error = ChildProcessError if side == "child" else RuntimeError
-    with pytest.raises(error):
+    error = ChildProcessError if side == "dead child" else RuntimeError
+    with pytest.raises(error, match="ended before sending item" if side == "dead child"
+                       else "formatter failed"):
         WRITERS[writer](tmp_path / "out")
     assert len(pids) == 1
     _assert_reaped(pids)
@@ -133,6 +150,74 @@ def test_a_failed_fork_leaves_the_write_serial(tmp_path, forked, monkeypatch):
     for name, write in WRITERS.items():
         write(tmp_path / name)
         assert (tmp_path / name).read_bytes() == (tmp_path / f"{name}.serial").read_bytes()
+
+
+def _outcome(results) -> tuple:
+    """(the list of ``results``, or the type and message of its first error)."""
+    try:
+        return list(results), None
+    except Exception as exc:
+        return None, (type(exc), str(exc))
+
+
+@hypothesis_settings(max_examples=60, deadline=None, derandomize=True)
+@given(count=st.integers(0, 12), workers=st.integers(1, 4),
+       raising=st.lists(st.integers(0, 11), max_size=2, unique=True))
+def test_forked_map_equals_map(count, workers, raising):
+    def fn(i):  # whether an error is raised in the parent or a child is i % workers
+        if i in raising:
+            raise (KeyError if i % 2 else ValueError)(f"item {i}")
+        return {"item": i, "third": i / 3, "text": "é" * i}
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data_module, "fork_workers", lambda parts: max(1, min(parts, workers)))
+        pids = _count_forks(patch)
+        assert _outcome(forked_map(fn, range(count))) == _outcome(map(fn, range(count)))
+    assert len(pids) == max(0, min(count, workers) - 1)
+    _assert_reaped(pids)
+
+
+def test_the_parent_works_ahead_yet_raises_in_item_order(forked):
+    pids, parent, made = forked(True), os.getpid(), []
+
+    def fn(i):
+        if os.getpid() != parent:  # items 1 and 3
+            time.sleep(0.2)  # so the parent reaches item 1 before it is sent
+            raise KeyError(f"item {i}")
+        made.append(i)
+        if i == 2:
+            raise ValueError("item 2")
+        return i
+
+    with pytest.raises(KeyError, match="item 1"):
+        list(forked_map(fn, range(4)))
+    assert made == [0, 2]  # item 2 was made while the child worked on item 1
+    _assert_reaped(pids)
+
+
+def test_an_unpicklable_result_is_sent_as_its_error(forked):
+    pids = forked(True)
+    results = forked_map(lambda i: (lambda: i) if i == 1 else i, [0, 1, 2, 3])
+    assert next(results) == 0
+    with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+        next(results)
+    assert len(pids) == 1
+    _assert_reaped(pids)
+
+
+def test_a_pipe_past_descriptor_1024_is_read(tmp_path, forked):
+    # select() refuses descriptors from FD_SETSIZE (1024) on, so the map polls
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+        pytest.skip("the descriptor limit is below 1200")
+    pids, held = forked(True), [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
+    try:
+        write_json(tmp_path / "r.json", _payload())
+    finally:
+        for fd in held:
+            os.close(fd)
+    assert (tmp_path / "r.json").read_bytes() == (json.dumps(_payload(), indent=2) + "\n").encode()
+    assert len(pids) == 1
+    _assert_reaped(pids)
 
 
 def _forks_during_write(path: str) -> int:
