@@ -5,9 +5,11 @@ and single-threaded, so fits are deterministic given their seed. The module
 knows nothing about any particular loss: callers run ``forward_cached``,
 supply the gradient of their loss with respect to the network output, and
 ``backward`` returns the flat parameter gradient, which ``AdamState.step``
-applies in place to one flat parameter vector that the (weights, bias)
-``views`` share. Analytic gradients can be audited against central finite
-differences via ``numeric_gradient``.
+applies in place to one flat parameter vector. Each layer is a block of that
+vector, its weights over its bias row (``views``), and every activation
+carries a ones row, so a layer is one matmul forward and one matmul for its
+weight and bias gradients. Analytic gradients can be audited against central
+finite differences via ``numeric_gradient``.
 """
 
 from __future__ import annotations
@@ -58,85 +60,83 @@ def init_params(n_inputs: int, config: MlpConfig, rng: np.random.Generator):
 
 
 def views(flat: np.ndarray, template):
-    """(weights, bias) views into ``flat``, laid out as ``flatten`` lays out
-    ``template``."""
-    params, offset = [], 0
-    for w, b in template:
-        params.append((flat[offset:offset + w.size].reshape(w.shape),
-                       flat[offset + w.size:offset + w.size + b.size]))
-        offset += w.size + b.size
-    return params
+    """Each layer's (fan_in + 1, fan_out) block of ``flat``, its weights over
+    its bias row, laid out as ``flatten`` lays out ``template``."""
+    cuts = np.cumsum([w.size + b.size for w, b in template])[:-1]
+    return [part.reshape(len(w) + 1, b.size)
+            for part, (w, b) in zip(np.split(flat, cuts), template)]
 
 
-def forward(params, x: np.ndarray, work=None) -> np.ndarray:
-    """Network output per row of ``x`` (rows, inputs)."""
-    return _forward(params, x, work)[0]
+def forward(params, x: np.ndarray) -> np.ndarray:
+    """Network output per row of ``x`` (rows, inputs), given (weights, bias) pairs."""
+    inputs = np.vstack([x.T, np.ones(len(x))])
+    return Workspace(params, len(x)).forward(views(flatten(params), params), inputs)[0]
 
 
-def forward_cached(params, x: np.ndarray, work=None):
-    """Forward pass keeping the activations for ``backward``."""
-    return _forward(params, x, work)
+def forward_cached(blocks, x: np.ndarray, work: Workspace):
+    """Forward pass over ``x`` (rows, inputs + 1), whose last column is ones,
+    keeping the activations for ``backward``; pass ``x`` F-ordered."""
+    return work.forward(blocks, x.T)
 
 
-def _buffer(work: dict, slot, shape, dtype=np.float64) -> np.ndarray:
-    """The ``shape`` buffer of ``slot`` in ``work``, a dict that every pass of
-    one fit shares, so that a training step allocates none."""
-    if (slot, shape) not in work:
-        work[slot, shape] = np.empty(shape, dtype)
-    return work[slot, shape]
-
-
-def _forward(params, x: np.ndarray, work=None):
-    """(output per row, activations). Activations are feature-major, (width,
-    rows), so bias adds broadcast along the long axis and ``backward`` sums
-    contiguous rows; pass ``x`` F-ordered to make ``x.T`` C-contiguous. A
-    unit's pre-activation is positive exactly where its activation is."""
-    work = {} if work is None else work
-    activations = [x.T]
-    for layer, (weights, bias) in enumerate(params):
-        z = np.matmul(weights.T, activations[-1], out=_buffer(work, layer, (bias.size, len(x))))
-        z += bias[:, None]
-        if layer < len(params) - 1:
-            activations.append(np.maximum(z, 0.0, out=z))
-    return z[0], activations
-
-
-def backward(params, activations, grad_out: np.ndarray, work=None) -> np.ndarray:
-    """Flat parameter gradient, laid out as ``flatten``, given d(loss)/d(output)
-    per row; given ``work`` (see ``_buffer``), it is the buffer ``work`` holds."""
-    work = {} if work is None else work
-    if "grad" not in work:
-        grad = np.empty(sum(w.size + b.size for w, b in params))
-        work["grad"] = grad, list(enumerate(views(grad, params)))[::-1]
-    grad, layers = work["grad"]
+def backward(blocks, activations, grad_out: np.ndarray, work: Workspace) -> np.ndarray:
+    """``work.grad``, laid out as ``flatten``, given d(loss)/d(output) per row:
+    each layer's block is one matmul of the activations below it with the
+    errors at its units, which then overwrite those activations."""
     delta = grad_out[None, :]
-    for layer, (gw, gb) in layers:
-        np.matmul(activations[layer], delta.T, out=gw)
-        np.add.reduce(delta, axis=1, out=gb)
+    for layer in range(len(blocks) - 1, -1, -1):
+        below = activations[layer]
+        np.matmul(below, delta.T, out=work.grads[layer])
         if layer > 0:
-            shape = activations[layer].shape
-            delta = np.matmul(params[layer][0], delta,
-                              out=_buffer(work, ("delta", layer % 2), shape))
-            delta *= np.greater(activations[layer], 0.0, out=_buffer(work, "mask", shape, bool))
-    return grad
+            # from the output's one row, W @ delta is an outer product: broadcast it
+            product = np.multiply if len(delta) == 1 else np.matmul
+            delta = product(blocks[layer][:-1], delta, out=below[:-1])
+            delta *= work.masks[layer - 1]
+    return work.grad
+
+
+class Workspace:
+    """The buffers of a fit's passes over ``rows`` stacked rows, feature-major:
+    each hidden layer's units over a fixed ones row, and their ReLU mask; the
+    output; the flat gradient and its layer blocks."""
+
+    def __init__(self, template, rows: int):
+        self.masks = [np.empty((b.size, rows)) for _, b in template[:-1]]
+        self.layers = [np.ones((len(m) + 1, rows)) for m in self.masks] + [np.empty((1, rows))]
+        self.grad = np.empty(sum(w.size + b.size for w, b in template))
+        self.grads = views(self.grad, template)
+
+    def forward(self, blocks, x: np.ndarray):
+        """(output per row, activations) of ``x`` (inputs + 1, rows). ReLU
+        multiplies units by their mask, so a pre-activation of -inf gives nan."""
+        activations = [x]
+        for block, buffer, mask in zip(blocks[:-1], self.layers, self.masks):
+            units = np.matmul(block.T, activations[-1], out=buffer[:-1])
+            units *= np.greater(units, 0.0, out=mask)
+            activations.append(buffer)
+        return np.matmul(blocks[-1].T, activations[-1], out=self.layers[-1])[0], activations
 
 
 class AdamState:
-    """Flat first/second moment accumulators with bias correction."""
+    """Flat first/second moment accumulators with bias correction, and temporaries."""
 
     def __init__(self, flat: np.ndarray):
-        self.m = np.zeros_like(flat)
-        self.v = np.zeros_like(flat)
+        self.m, self.v, self.num, self.den = (np.zeros_like(flat) for _ in range(4))
         self.t = 0
 
     def step(self, flat: np.ndarray, grad: np.ndarray, config: MlpConfig) -> None:
-        """Update ``flat`` in place by one Adam step on ``grad``."""
+        """Update ``flat`` in place by one Adam step on ``grad``, allocating no
+        array: lr_t * m / (sqrt(v) + eps), in that order."""
         self.t += 1
         b1, b2 = config.beta1, config.beta2
         lr_t = config.learning_rate * np.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
-        np.add(b1 * self.m, (1 - b1) * grad, out=self.m)
-        np.add(b2 * self.v, (1 - b2) * grad ** 2, out=self.v)
-        flat -= lr_t * self.m / (np.sqrt(self.v) + config.adam_eps)
+        self.m *= b1
+        self.m += np.multiply(grad, 1 - b1, out=self.num)
+        self.v *= b2
+        self.v += np.multiply(np.square(grad, out=self.den), 1 - b2, out=self.den)
+        np.multiply(self.m, lr_t, out=self.num)
+        self.num /= np.add(np.sqrt(self.v, out=self.den), config.adam_eps, out=self.den)
+        flat -= self.num
 
 
 def flatten(params) -> np.ndarray:
@@ -144,18 +144,17 @@ def flatten(params) -> np.ndarray:
 
 
 def unflatten(flat: np.ndarray, template):
-    return [(w.copy(), b.copy()) for w, b in views(flat, template)]
+    return [(block[:-1].copy(), block[-1].copy()) for block in views(flat, template)]
 
 
-def numeric_gradient(loss_fn, params, step: float = 1e-5) -> np.ndarray:
-    """Central finite differences of a scalar loss over all parameters."""
-    flat = flatten(params)
+def numeric_gradient(loss_fn, flat: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    """Central finite differences of a scalar loss of the flat parameters."""
     grad = np.empty_like(flat)
     for j in range(flat.size):
         bumped = flat.copy()
         bumped[j] += step
-        hi = loss_fn(unflatten(bumped, params))
+        hi = loss_fn(bumped)
         bumped[j] -= 2 * step
-        lo = loss_fn(unflatten(bumped, params))
+        lo = loss_fn(bumped)
         grad[j] = (hi - lo) / (2 * step)
     return grad

@@ -24,7 +24,7 @@ from . import mlp as mlp_net
 from ._linalg import default_ridge, expit, solve_normal_equations
 from .basis import Basis, as_designs, intercept_basis, make_basis
 from .data import Dataset, as_columns
-from .errors import SchemaError, TrainingDivergedError
+from .errors import SchemaError, TrainingDivergedError, require
 from .estimands import EstimandSpec, FunctionalMap, apply_map, term_columns
 from .mlp import MlpConfig
 from .simulate import substream
@@ -76,7 +76,8 @@ class MlpRieszFit:
     loss_curve: np.ndarray
 
     def __call__(self, cols) -> np.ndarray:
-        return mlp_net.forward(self.params, _stack(cols, self.columns))
+        x = np.array([cols[c] for c in self.columns], dtype=np.float64)
+        return mlp_net.forward(self.params, x.reshape(-1, as_columns(cols)[1]).T)
 
 
 @dataclass
@@ -175,64 +176,65 @@ def fit_mlp(fmap: FunctionalMap, data, config: MlpConfig, weights=None,
     given config.seed; the returned fit carries the full loss curve, the loss
     at the start of each epoch and then the final loss, with the final entry
     never above the initial one for epochs > 0 monitored by the divergence
-    guard. Full batch is the one-batch case of the minibatch loop.
+    guard.
     """
     columns, inputs, n, map_grad = _mlp_problem(fmap, data, weights, columns)
     rng = substream(config.seed)
     init = mlp_net.init_params(len(columns), config, rng)
     flat = mlp_net.flatten(init)
-    params = mlp_net.views(flat, init)
+    blocks = mlp_net.views(flat, init)
     state = mlp_net.AdamState(flat)
-    work = {}  # buffers that every pass of this fit reuses
     batch = config.batch_size
+    sizes = {n} if batch is None else {n, min(batch, n), n % batch} - {0}
+    work = {rows: mlp_net.Workspace(init, rows * len(map_grad) // n) for rows in sizes}
     full_grad = map_grad / n  # its map-term rows never change
+    curve = np.empty(config.epochs + 1)
 
     def full_loss() -> float:
-        return _mlp_loss(mlp_net.forward(params, inputs.T, work), full_grad, n)
+        return _mlp_loss(work[n].forward(blocks, inputs)[0], full_grad, n)
 
-    curve = []
+    def record(epoch: int, loss: float) -> None:
+        curve[epoch] = loss
+        if not np.isfinite(loss):
+            raise TrainingDivergedError(f"training loss became non-finite at epoch {epoch} "
+                                        f"of {config.epochs} (loss={loss!r})")
+
     # overflow here is the divergence signal, not a numerical accident to warn on
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             if batch is None:
-                batches = [(inputs, full_grad, n)]
-            else:
-                curve.append(full_loss())
-                order = rng.permutation(n)
-                batches = (_minibatch(inputs, map_grad, n, order[start:start + batch])
-                           for start in range(0, n, batch))
-            for x, grad_out, rows in batches:
-                loss, grad = _mlp_gradient(params, x, grad_out, rows, work)
+                loss, grad = _mlp_gradient(blocks, inputs, full_grad, n, work[n])
                 state.step(flat, grad, config)
-            if batch is None:
-                curve.append(loss)  # the gradient pass yields the epoch's entry loss
-            if not np.isfinite(curve[-1]):
-                raise TrainingDivergedError(
-                    f"training loss became non-finite at epoch {epoch} (loss={curve[-1]!r})")
-        curve.append(full_loss())
-    if not np.isfinite(curve[-1]):
-        raise TrainingDivergedError(
-            f"training loss became non-finite after epoch {config.epochs} (loss={curve[-1]!r})")
-    return MlpRieszFit(columns, mlp_net.unflatten(flat, params), config, curve[-1],
-                       np.asarray(curve))
+                record(epoch, loss)  # the gradient pass yields the epoch's entry loss
+            else:
+                record(epoch, full_loss())
+                order = rng.permutation(n)
+                for start in range(0, n, batch):
+                    x, grad_out, rows = _minibatch(inputs, map_grad, n, order[start:start + batch])
+                    state.step(flat, _mlp_gradient(blocks, x, grad_out, rows, work[rows])[1],
+                               config)
+        record(config.epochs, full_loss())
+    return MlpRieszFit(columns, mlp_net.unflatten(flat, init), config, float(curve[-1]), curve)
 
 
 def _mlp_problem(fmap: FunctionalMap, data, weights, columns):
     """The network's view of the Riesz loss: the input column order; the
-    inputs, feature-major (columns, rows), of the observed rows followed by
-    one block of rows per map term; the row count n; and the map terms'
-    gradient of the loss with respect to each output, times the row count
-    (-2 * coef * w on a term row, 0 on an observed row)."""
+    inputs, feature-major (columns + 1, rows) with a last row of ones, of the
+    observed rows followed by one block of rows per map term; the row count
+    n; and the map terms' gradient of the loss with respect to each output,
+    times the row count (-2 * coef * w on a term row, 0 on an observed row)."""
     cols, n = as_columns(data)
     weights = _check_weights(weights, n)
     if columns is None:
         assigned = [v for v in sorted(fmap.assigned_vars()) if v not in fmap.free_vars]
         columns = tuple(fmap.free_vars) + tuple(assigned)
     columns = tuple(columns)
+    for c in columns:
+        require(c in cols, "network inputs must be columns of the data", c)
     schema = data if isinstance(data, Dataset) else None
     terms = list(term_columns(fmap, cols, n, schema))
     blocks = [cols] + [overridden for _, overridden in terms]
-    inputs = np.empty((len(columns), len(blocks) * n))
+    inputs = np.ones((len(columns) + 1, len(blocks) * n))
     for row, c in enumerate(columns):
         np.concatenate([np.asarray(block[c], dtype=np.float64) for block in blocks],
                        out=inputs[row])
@@ -247,15 +249,15 @@ def _minibatch(inputs, map_grad, n: int, rows):
     return inputs[:, index], map_grad[index] / len(rows), len(rows)
 
 
-def _mlp_gradient(params, x, grad_out, rows: int, work=None):
+def _mlp_gradient(blocks, x, grad_out, rows: int, work):
     """Loss and flat parameter gradient on a batch of ``rows`` observed rows
-    followed by their term rows, feature-major. ``grad_out`` holds the map
-    terms' output gradient; its observed rows are overwritten. The passes
-    write into the buffers of ``work`` when given."""
-    out, activations = mlp_net.forward_cached(params, x.T, work)
+    followed by their term rows, as ``_mlp_problem`` stacks them, passed
+    through ``work``. ``grad_out`` holds the map terms' output gradient; its
+    observed rows are overwritten."""
+    out, activations = mlp_net.forward_cached(blocks, x.T, work)
     loss = _mlp_loss(out, grad_out, rows)
-    np.divide(np.multiply(out[:rows], 2.0, out=grad_out[:rows]), rows, out=grad_out[:rows])
-    return loss, mlp_net.backward(params, activations, grad_out, work)
+    np.divide(out[:rows], rows / 2, out=grad_out[:rows])  # 2 * out / rows, bit for bit
+    return loss, mlp_net.backward(blocks, activations, grad_out, work)
 
 
 def _mlp_loss(out, grad_out, rows: int) -> float:
@@ -271,10 +273,12 @@ def mlp_loss_gradients(fmap: FunctionalMap, data, config: MlpConfig, weights=Non
     gradient is the one full-batch training steps on."""
     columns, inputs, n, map_grad = _mlp_problem(fmap, data, weights, columns)
     params = mlp_net.init_params(len(columns), config, substream(config.seed))
+    flat, work = mlp_net.flatten(params), mlp_net.Workspace(params, len(map_grad))
     grad_out = map_grad / n
-    analytic = _mlp_gradient(params, inputs, grad_out, n)[1]
+    analytic = _mlp_gradient(mlp_net.views(flat, params), inputs, grad_out, n, work)[1]
     numeric = mlp_net.numeric_gradient(
-        lambda p: _mlp_loss(mlp_net.forward(p, inputs.T), grad_out, n), params, step=step)
+        lambda f: _mlp_loss(work.forward(mlp_net.views(f, params), inputs)[0], grad_out, n),
+        flat, step=step)
     return analytic, numeric
 
 
@@ -344,10 +348,7 @@ def _check_weights(weights, n: int) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (n,):
         raise SchemaError(f"weights have shape {weights.shape}, expected ({n},)")
+    bad = np.flatnonzero(~np.isfinite(weights))
+    if bad.size:
+        raise SchemaError(f"weights must be finite; row {bad[0]} has {weights[bad[0]]}")
     return weights
-
-
-def _stack(cols, columns) -> np.ndarray:
-    if not columns:
-        return np.empty((as_columns(cols)[1], 0))
-    return np.column_stack([np.asarray(cols[c], dtype=np.float64) for c in columns])

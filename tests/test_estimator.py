@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,6 +153,21 @@ class TestOneStepExactness:
             np.mean((w == wv) & (a == 1)) / a.mean() * y[(a == 0) & (w == wv)].mean()
             for wv in (0.0, 1.0))
         assert report.theta_hat == pytest.approx(enumeration, abs=1e-10)
+
+    @pytest.mark.parametrize("n,seed,folds", [(400, 0, 2), (400, 1, 3), (1000, 2, 5),
+                                              (1000, 3, 2)])
+    def test_pure_training_cell_logistic_equals_least_squares(self, n, seed, folds):
+        """The (A=1, W=1) cell's outcomes are all 1 in every fold. Its saturated
+        logistic fit has no finite coefficients, yet its fitted mean reaches 1
+        closely enough that the estimate is the least-squares one."""
+        data = simulate(DiscreteDgp(outcome_mean_table=((0.2, 0.5), (0.5, 1.0))), n, seed)
+        a, w, y = (data.column(c) for c in ("A", "W", "Y"))
+        assert np.all(y[(a == 1.0) & (w == 1.0)] == 1.0)
+        logistic, least_squares = (
+            one_step_estimate(builtin_spec("ate"), data, replace(EXACT, outcome_family=family),
+                              folds=folds, seed=seed).theta_hat
+            for family in ("logistic", "least_squares"))
+        assert logistic == pytest.approx(least_squares, rel=1e-10, abs=1e-10)
 
 
 class TestReportInvariants:

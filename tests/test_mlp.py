@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,35 @@ class TestTraining:
         two = fit_mlp(fmap, discrete_data, config, columns=("A", "W"))
         np.testing.assert_array_equal(one.loss_curve, two.loss_curve)
         assert one.fitted_loss < one.loss_curve[0]
+
+    def test_missing_input_column_refused_by_name(self, discrete_data):
+        fmap = builtin_spec("ate").stage(2).fmap
+        with pytest.raises(SchemaError, match="'Z'"):
+            fit_mlp(fmap, discrete_data, MlpConfig(epochs=1), columns=("A", "Z"))
+
+    def test_full_batch_epochs_allocate_nothing(self, monkeypatch, discrete_data):
+        """The traced memory after each Adam step stays where it was after
+        epoch 2, at 50 epochs as at 100."""
+        fmap = builtin_spec("ate").stage(2).fmap
+        step = net.AdamState.step
+
+        def growth(epochs: int) -> int:
+            traced = np.zeros(epochs, dtype=np.int64)
+
+            def marked_step(self, *args):
+                step(self, *args)
+                traced[self.t - 1] = tracemalloc.get_traced_memory()[0]
+
+            monkeypatch.setattr(net.AdamState, "step", marked_step)
+            tracemalloc.start()
+            try:
+                fit_mlp(fmap, discrete_data, MlpConfig(epochs=epochs, seed=3),
+                        columns=("A", "W"))
+            finally:
+                tracemalloc.stop()
+            return int(np.max(traced[2:]) - traced[1])
+
+        assert growth(50) == growth(100) == 0
 
     def test_later_fit_leaves_earlier_fit_unchanged(self, discrete_data):
         fmap = builtin_spec("ate").stage(2).fmap
@@ -261,12 +292,21 @@ class TestKernelParity:
     @pytest.mark.parametrize("width", [1, 4, 7])
     def test_matches_row_major_reference(self, problems, problem, batch_size,
                                          hidden_layers, width):
-        fmap, data, columns, weights = problems[problem]
-        config = MlpConfig(hidden_layers=hidden_layers, width=width, epochs=40,
-                           batch_size=batch_size, learning_rate=0.03, seed=width)
-        fit = fit_mlp(fmap, data, config, weights=weights, columns=columns)
-        params, curve = _reference_fit(fmap, data, config, weights, columns)
-        _close(fit.loss_curve, curve)
-        for (w, b), (w_ref, b_ref) in zip(fit.params, params):
-            _close(w, w_ref)
-            _close(b, b_ref)
+        _check_parity(problems[problem], MlpConfig(
+            hidden_layers=hidden_layers, width=width, epochs=40, batch_size=batch_size,
+            learning_rate=0.03, seed=width))
+
+    def test_default_config_matches_reference_over_500_epochs(self, problems):
+        """The benchmark's network and epoch count, where rounding differences
+        between the two kernels have the longest to grow."""
+        _check_parity(problems["nde_stage3"], MlpConfig())
+
+
+def _check_parity(problem, config):
+    fmap, data, columns, weights = problem
+    fit = fit_mlp(fmap, data, config, weights=weights, columns=columns)
+    params, curve = _reference_fit(fmap, data, config, weights, columns)
+    _close(fit.loss_curve, curve)
+    for (w, b), (w_ref, b_ref) in zip(fit.params, params):
+        _close(w, w_ref)
+        _close(b, b_ref)

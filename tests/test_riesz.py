@@ -10,6 +10,7 @@ from rieszreg import (
     SingularGramError,
     builtin_spec,
     closed_form_representer,
+    fit_mlp,
     fit_sequential,
     fit_sieve,
     parse_spec,
@@ -226,6 +227,24 @@ def test_weight_length_validated(discrete_data):
     fmap = builtin_spec("ate").stage(2).fmap
     with pytest.raises(SchemaError, match="weights"):
         riesz_loss(lambda c: c["A"], fmap, discrete_data, weights=np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", ["riesz_loss", "fit_sieve", "fit_mlp"])
+def test_non_finite_weights_refused_naming_the_row(discrete_data, entry, bad):
+    fmap = builtin_spec("ate").stage(2).fmap
+    weights = np.ones(discrete_data.n)
+    weights[[7, 9]] = bad
+    calls = {
+        "riesz_loss": lambda: riesz_loss(lambda c: c["A"], fmap, discrete_data, weights),
+        "fit_sieve": lambda: fit_sieve(fmap, discrete_data,
+                                       saturated_basis(("A", "W"), discrete_data),
+                                       weights=weights),
+        "fit_mlp": lambda: fit_mlp(fmap, discrete_data, MlpConfig(epochs=2), weights=weights,
+                                   columns=("A", "W")),
+    }
+    with pytest.raises(SchemaError, match="row 7 "):
+        calls[entry]()
 
 
 def test_truth_oracle_anchor_for_sequential_tests(appendix_dgp):
