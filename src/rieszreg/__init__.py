@@ -78,5 +78,4 @@ from .estimator import (  # noqa: F401
     EstimatorSettings,
     assemble_eif,
     one_step_estimate,
-    verify_orthogonality,
 )

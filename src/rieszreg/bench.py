@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import is_integer, require
-from .estimands import EstimandSpec
+from .estimands import EstimandSpec, validate_binding
 from .estimator import EstimatorSettings, one_step_estimate
 from .simulate import oracle_value, simulate, truth_report
 
@@ -33,6 +33,7 @@ class BenchTask:
         for name, low in (("n", 1), ("replicates", 1), ("folds", 1), ("seed", 0)):
             got = getattr(self, name)
             require(is_integer(got) and got >= low, f"{name} must be an integer >= {low}", got)
+        validate_binding(self.spec, simulate(self.dgp, 1, 0))  # one row carries the schema
 
 
 def replicate_seed(task_seed: int, rep: int) -> int:

@@ -31,8 +31,6 @@ from .errors import SchemaError, SpecSyntaxError, SpecValidationError
 
 CONTRAST_TOKEN = "a'"
 
-BUILTIN_NAMES = ("mean_treated", "ate", "att_control_mean", "nde")
-
 
 @dataclass(frozen=True)
 class MapTerm:
@@ -309,6 +307,36 @@ def format_spec(spec: EstimandSpec) -> str:
 # Built-in estimands
 # ---------------------------------------------------------------------------
 
+_BUILTINS = {  # the documents of the built-ins, less their names
+    "mean_treated": {"stages": [
+        {"regress": "Y", "given": ["A"],
+         "map": [{"coef": 1.0, "set": {"A": 1.0}}]},
+    ]},
+    "ate": {"stages": [
+        {"regress": "Y", "given": ["A", "W"],
+         "map": [{"coef": 1.0, "set": {"A": 1.0}},
+                 {"coef": -1.0, "set": {"A": 0.0}}]},
+        {"regress": "prev", "given": [],
+         "map": [{"coef": 1.0, "set": {}}]},
+    ]},
+    "att_control_mean": {"stages": [
+        {"regress": "Y", "given": ["A", "W"],
+         "map": [{"coef": 1.0, "set": {"A": 0.0}}]},
+        {"regress": "prev", "given": ["A"], "where": {"A": 1.0},
+         "map": [{"coef": 1.0, "set": {"A": 1.0}}]},
+    ]},
+    "nde": {"contrast": [1.0, 0.0], "stages": [
+        {"regress": "Y", "given": ["A", "M", "W"],
+         "map": [{"coef": 1.0, "set": {"A": CONTRAST_TOKEN}}]},
+        {"regress": "prev", "given": ["A", "W"],
+         "map": [{"coef": 1.0, "set": {"A": 0.0}}]},
+        {"regress": "prev", "given": [],
+         "map": [{"coef": 1.0, "set": {}}]},
+    ]},
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin_spec(name: str) -> EstimandSpec:
     """Return one of the four built-in estimands by identifier.
 
@@ -317,52 +345,10 @@ def builtin_spec(name: str) -> EstimandSpec:
     att_control_mean  E{ E[Y|A=0,W] | A=1 }
     nde               E[ E{E[Y|A=a',M,W] | A=0,W} ], contrast a'=1 vs a'=0
     """
-    if name == "mean_treated":
-        doc = {
-            "name": "mean_treated",
-            "stages": [
-                {"regress": "Y", "given": ["A"],
-                 "map": [{"coef": 1.0, "set": {"A": 1.0}}]},
-            ],
-        }
-    elif name == "ate":
-        doc = {
-            "name": "ate",
-            "stages": [
-                {"regress": "Y", "given": ["A", "W"],
-                 "map": [{"coef": 1.0, "set": {"A": 1.0}},
-                         {"coef": -1.0, "set": {"A": 0.0}}]},
-                {"regress": "prev", "given": [],
-                 "map": [{"coef": 1.0, "set": {}}]},
-            ],
-        }
-    elif name == "att_control_mean":
-        doc = {
-            "name": "att_control_mean",
-            "stages": [
-                {"regress": "Y", "given": ["A", "W"],
-                 "map": [{"coef": 1.0, "set": {"A": 0.0}}]},
-                {"regress": "prev", "given": ["A"], "where": {"A": 1.0},
-                 "map": [{"coef": 1.0, "set": {"A": 1.0}}]},
-            ],
-        }
-    elif name == "nde":
-        doc = {
-            "name": "nde",
-            "contrast": [1.0, 0.0],
-            "stages": [
-                {"regress": "Y", "given": ["A", "M", "W"],
-                 "map": [{"coef": 1.0, "set": {"A": CONTRAST_TOKEN}}]},
-                {"regress": "prev", "given": ["A", "W"],
-                 "map": [{"coef": 1.0, "set": {"A": 0.0}}]},
-                {"regress": "prev", "given": [],
-                 "map": [{"coef": 1.0, "set": {}}]},
-            ],
-        }
-    else:
+    if name not in _BUILTINS:
         raise SpecValidationError(
             f"unknown built-in estimand {name!r}; expected one of {', '.join(BUILTIN_NAMES)}")
-    return spec_from_document(doc)
+    return spec_from_document({"name": name, **_BUILTINS[name]})
 
 
 # ---------------------------------------------------------------------------

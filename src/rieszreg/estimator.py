@@ -24,8 +24,9 @@ whose stage chain agrees reuses that fit. Fits are keyed by the settings and
 content they depend on, never by the arm value: the regression Q_k by stage k's
 conditioning set and subgroup, the stage-(k+1) map and the key of Q_{k+1};
 the weight a_k by stage k and the key of a_{k-1}. In ``nde`` both arms share
-the outcome regression and the stage-2 weight. Network weights, the slow
-fits, are made first, one fold per item of ``data.forked_map``.
+the outcome regression and the stage-2 weight. Every fold's weights are
+fitted before any assembly: sieve folds in process, network folds, the slow
+fits, one per item of ``data.forked_map``.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ class EstimatorSettings:
     mlp: MlpConfig | None = None      # last, as reports list the network settings last
 
     def __post_init__(self):
+        if self.riesz_method == "mlp" and self.mlp is None:  # the report names what trains
+            object.__setattr__(self, "mlp", MlpConfig())
         for name, names in (("riesz_method", METHODS), ("riesz_basis", BASIS_POLICIES),
                             ("nuisance_basis", BASIS_POLICIES),
                             ("outcome_family", (None, *OUTCOME_FAMILIES))):
@@ -245,10 +248,9 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
         policies.append(settings.riesz_basis)
     designs.hold(make_basis(policy, stage.given, data, settings.degree)
                  for stage in reversed(spec.stages) for policy in policies)
-    if settings.riesz_method == "mlp" and designs.folds > 1:
-        _fit_networks([arm for arm, _ in arms], designs, settings)
-    report, *others = [_estimate_concrete(arm, designs, settings, seed, name)
-                       for arm, name in arms]
+    by_fold = _fit_weights([arm for arm, _ in arms], designs, settings)
+    report, *others = [_estimate_concrete(arm, chains, designs, settings, seed, name)
+                       for (arm, name), chains in zip(arms, zip(*by_fold))]
     if others:
         eif_diff = report.eif_values - others[0].eif_values
         difference = report.theta_hat - others[0].theta_hat
@@ -268,8 +270,9 @@ def one_step_estimate(spec: EstimandSpec, data: Dataset,
     return report
 
 
-def _estimate_concrete(spec: EstimandSpec, designs: FoldDesigns,
+def _estimate_concrete(spec: EstimandSpec, chains, designs: FoldDesigns,
                        settings: EstimatorSettings, seed: int, name: str) -> EstimateReport:
+    """Assemble one arm's report from its weight chains, chains[v] on fold v."""
     n, folds = designs.n, designs.folds
     nuisances, mapped = fit_folds(
         spec, designs, basis_policy=settings.nuisance_basis, degree=settings.degree,
@@ -279,13 +282,8 @@ def _estimate_concrete(spec: EstimandSpec, designs: FoldDesigns,
     per_fold = []
     clipped = 0
 
-    for v in range(folds):
+    for v, alphas in enumerate(chains):
         rows = designs.block(v)
-        alphas = fit_sequential(
-            spec, designs.fold(v), method=settings.riesz_method,
-            basis_policy=settings.riesz_basis, degree=settings.degree, ridge=settings.ridge,
-            mlp_config=settings.mlp)
-
         weights = [_held_out(fit, designs, rows) for fit in alphas]
         regressions = [_held_out(stage[v], designs, rows) for stage in nuisances[1:]]
         parts = _parts(weights, regressions, [m[rows] for m in mapped], settings.clip)
@@ -316,17 +314,20 @@ def _estimate_concrete(spec: EstimandSpec, designs: FoldDesigns,
         seed=seed, per_fold=per_fold, diagnostics={"clipped_weights": clipped})
 
 
-def _fit_networks(specs, designs: FoldDesigns, settings: EstimatorSettings) -> None:
-    """Fit every fold's network chains for every arm into ``designs.fits``."""
-    def fold_fits(v: int) -> list:
-        before = set(designs.fits)
-        for spec in specs:
-            fit_sequential(spec, designs.fold(v), method="mlp", basis_policy=settings.riesz_basis,
-                           degree=settings.degree, ridge=settings.ridge, mlp_config=settings.mlp)
-        return [(key, fit) for key, fit in designs.fits.items() if key not in before]
+def _fit_weights(specs, designs: FoldDesigns, settings: EstimatorSettings) -> list:
+    """Every fold's weight chain for every arm: result[v][i] is arm i's chain
+    on fold v. Sieve folds fit in process; network folds train one
+    ``forked_map`` item each, and a fold's arms share its stages in ``fits``."""
+    def fold_chains(v: int) -> list:
+        return [fit_sequential(spec, designs.fold(v), method=settings.riesz_method,
+                               basis_policy=settings.riesz_basis, degree=settings.degree,
+                               ridge=settings.ridge, mlp_config=settings.mlp)
+                for spec in specs]
 
-    with closing(forked_map(fold_fits, range(designs.folds))) as made:
-        designs.fits.update(pair for pairs in made for pair in pairs)
+    if settings.riesz_method == "sieve":
+        return [fold_chains(v) for v in range(designs.folds)]
+    with closing(forked_map(fold_chains, range(designs.folds))) as made:
+        return list(made)
 
 
 def _held_out(fit, designs: FoldDesigns, rows: slice) -> np.ndarray:
@@ -380,37 +381,3 @@ def _check_fold_levels(spec: EstimandSpec, data: Dataset, fold_ids: np.ndarray,
                 raise DegenerateFoldError(
                     f"training data for fold {v} is missing level(s) {missing} of "
                     f"column {col.name!r}")
-
-
-# ---------------------------------------------------------------------------
-# Orthogonality diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OrthogonalityRow:
-    k: int
-    mean: float
-    shared_basis: bool
-    within_tol: bool
-
-
-def verify_orthogonality(spec: EstimandSpec, data: Dataset, alphas, nuisances,
-                         tol: float = 1e-10) -> list[OrthogonalityRow]:
-    """Report mean D_k for every k > 1.
-
-    When the stage-k weight and regression share an unpenalized basis, the
-    least-squares residual is empirically orthogonal to the weight's span,
-    so the mean must vanish to numerical precision; rows record whether the
-    shared-basis condition holds and whether the mean is within tolerance.
-    Diagnostics only: never raises on a violation.
-    """
-    parts = _stage_values(spec, alphas, nuisances, data)
-    rows = []
-    for k, values in parts.tail:
-        fits = alphas[k - 1], nuisances[k - 1]
-        shared = (all(isinstance(fit, SieveRieszFit) for fit in fits)
-                  and fits[0].basis == fits[1].basis
-                  and {(fit.family, fit.ridge) for fit in fits} == {("least_squares", 0.0)})
-        mean = float(np.mean(values))
-        rows.append(OrthogonalityRow(k, mean, shared, abs(mean) <= tol))
-    return rows

@@ -202,6 +202,23 @@ class TestBenchmark:
         assert "Traceback" not in err and not out.exists()
 
 
+    # the truth oracle ran before anything bound the document, and ended in a KeyError
+    @pytest.mark.parametrize("given,says", [(["A", "Z"], "dataset has no column 'Z'"),
+                                            (["A", "Y"], "conditions on the outcome column 'Y'")],
+                             ids=["unknown column", "outcome column"])
+    def test_unbindable_document_is_refused_as_estimate_refuses_it(self, tmp_path, capsys,
+                                                                   given, says):
+        doc = json.loads(format_spec(builtin_spec("ate")))
+        doc["stages"][0]["given"] = given
+        spec = tmp_path / "doc.json"
+        spec.write_text(json.dumps(doc))
+        for argv in (_estimate(tmp_path, "--spec", str(spec)),
+                     _benchmark(tmp_path, "--spec", str(spec), "--dgp", "discrete")):
+            capsys.readouterr()
+            assert _exit_code(argv) == 3
+            err = capsys.readouterr().err
+            assert says in err and "Traceback" not in err, err
+
     def test_a_dead_worker_ends_with_exit_5(self, tmp_path, monkeypatch, capsys):
         bench = sys.modules["rieszreg.bench"]
         draw, dying_seed = bench.simulate, bench.replicate_seed(5, 1)

@@ -2,7 +2,7 @@ import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -29,10 +29,9 @@ from rieszreg import (
     simulate,
     true_nuisance,
     truth_oracle,
-    verify_orthogonality,
 )
 from rieszreg import Basis, basis as basis_module, estimator, nuisance, riesz, substream
-from rieszreg import bench, data as data_module
+from rieszreg import bench, data as data_module, verify
 from rieszreg.bench import BenchTask, run_task
 from rieszreg.basis import FoldDesigns
 from rieszreg.estimands import spec_from_document
@@ -276,6 +275,12 @@ class TestReportInvariants:
                                    seed=3).to_dict()
         assert list(single) == arm and single["contrast"] is None
 
+    def test_report_names_the_default_network(self, discrete_data):
+        # with no network settings the estimate trains MlpConfig(), and says so
+        report = one_step_estimate(builtin_spec("ate"), discrete_data,
+                                   EstimatorSettings(riesz_method="mlp"), folds=2, seed=3)
+        assert report.provenance["settings"]["mlp"] == asdict(MlpConfig())
+
     def test_clipping_is_counted(self, discrete_data):
         settings = EstimatorSettings(riesz_basis="saturated",
                                      nuisance_basis="saturated", clip=1.0,
@@ -318,26 +323,33 @@ class TestFolding:
 
 
 class TestOrthogonalityDiagnostics:
+    """The mean of each inner influence term D_k, k > 1, as ``assemble_eif``
+    gives it: zero under shared unpenalized bases, nonzero otherwise."""
+
+    @staticmethod
+    def _inner_means(spec, data, nuisance_basis):
+        alphas = fit_sequential(spec, data, basis_policy="saturated", ridge=0.0)
+        nuisances = fit_all_stages(spec, data, basis_policy=nuisance_basis,
+                                   ridge=0.0, outcome_family="least_squares")
+        return [float(np.mean(term.values))
+                for term in assemble_eif(spec, alphas, nuisances, data, 0.0)[1:]]
+
     @pytest.mark.parametrize("name", ["ate", "att_control_mean"])
     def test_shared_basis_means_vanish(self, discrete_data, name):
-        spec = builtin_spec(name)
-        alphas = fit_sequential(spec, discrete_data, basis_policy="saturated",
-                                ridge=0.0)
-        nuisances = fit_all_stages(spec, discrete_data, basis_policy="saturated",
-                                   ridge=0.0, outcome_family="least_squares")
-        for row in verify_orthogonality(spec, discrete_data, alphas, nuisances):
-            assert row.shared_basis
-            assert row.within_tol, row
+        means = self._inner_means(builtin_spec(name), discrete_data, "saturated")
+        assert means and max(map(abs, means)) <= 1e-10, means
 
     def test_mismatched_bases_reported_not_asserted(self, discrete_data):
-        spec = builtin_spec("ate")
-        alphas = fit_sequential(spec, discrete_data, basis_policy="saturated",
-                                ridge=0.0)
-        nuisances = fit_all_stages(spec, discrete_data, basis_policy="intercept",
-                                   ridge=0.0, outcome_family="least_squares")
-        rows = verify_orthogonality(spec, discrete_data, alphas, nuisances)
-        assert not rows[0].shared_basis
-        assert abs(rows[0].mean) > 1e-6  # diagnostic only, no exception
+        means = self._inner_means(builtin_spec("ate"), discrete_data, "intercept")
+        assert abs(means[0]) > 1e-6  # diagnostic only, no exception
+
+    def test_verify_refuses_regressions_on_another_basis(self, monkeypatch):
+        # a mean off a shared basis proves nothing, so the check stops instead
+        fit_all = verify.fit_all_stages
+        monkeypatch.setattr(verify, "fit_all_stages", lambda *args, **kwargs: fit_all(
+            *args, **{**kwargs, "basis_policy": "intercept"}))
+        with pytest.raises(SchemaError, match="mis-specified for ate"):
+            verify.check_orthogonality(seed=0)
 
 
 # A setting that would silently corrupt an estimate is refused up front: a
@@ -411,7 +423,7 @@ def test_bad_arguments_are_refused_before_any_fit(settings, call, discrete_data,
     def no_fit(*args, **kwargs):
         raise AssertionError("fitted before the arguments were checked")
 
-    for name in ("FoldDesigns", "fit_folds", "fit_sequential", "_fit_networks"):
+    for name in ("FoldDesigns", "fit_folds", "fit_sequential", "_fit_weights"):
         monkeypatch.setattr(estimator, name, no_fit)
     with pytest.raises(SchemaError, match="|".join({**settings, **call})):
         one_step_estimate(builtin_spec("ate"), discrete_data, EstimatorSettings(**settings),
@@ -702,6 +714,16 @@ class TestForkedNetworkFolds:
         err = capsys.readouterr().err
         assert err.startswith("error (io): forked child ended") and "Traceback" not in err
         assert multiprocessing.active_children() == []
+
+    def test_one_fold_forks_nothing(self, appendix_dgp, monkeypatch):
+        # forked_map computes a single item in process, so one fold needs no gate
+        args = (builtin_spec("nde"), simulate(appendix_dgp, 300, 4),
+                EstimatorSettings(riesz_method="mlp", mlp=MlpConfig(epochs=10)), 1)
+        forks = []
+        os.register_at_fork(before=lambda: forks.append(1))
+        forked = json.dumps(one_step_estimate(*args, seed=3).to_dict())
+        assert forks == []
+        assert forked == _report_json(*args, 1, monkeypatch)
 
     def test_estimate_in_a_pool_worker_forks_nothing(self, appendix_dgp, monkeypatch):
         args = (builtin_spec("nde"), simulate(appendix_dgp, 300, 4),
