@@ -60,6 +60,7 @@ from .riesz import (  # noqa: F401
     SieveRieszFit,
     constant_one_fit,
     fit_mlp,
+    fit_mlps,
     fit_sequential,
     fit_sieve,
     mlp_loss_gradients,

@@ -53,7 +53,7 @@ def solve_normal_equations(gram, rhs, ridge, what="Gram matrix"):
         hint = "increase the ridge penalty or reduce the basis" if ridge == 0 \
             else "reduce the basis"
         raise SingularGramError(
-            f"{what} is singular or indefinite (ridge={ridge!r}); {hint}") from None
+            f"{what} is singular or indefinite (ridge={float(ridge)!r}); {hint}") from None
     x = np.zeros_like(rhs)
     for _ in range(2):  # a solve, then one iterative-refinement step
         x = x + np.linalg.solve(factor.T, np.linalg.solve(factor, rhs - regularized @ x))

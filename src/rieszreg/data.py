@@ -5,7 +5,8 @@ schema describing each column's role (covariate, treatment, mediator, outcome)
 and support (binary, categorical with levels, real). CSV export writes a
 sidecar JSON document holding the schema so files round-trip losslessly.
 ``forked_map`` shares independent items with forked children: the writers'
-number text, and an estimate's network folds; ``fork_workers`` is its gate.
+number text, and an estimate's network fold groups; ``fork_workers`` is its
+gate.
 """
 
 from __future__ import annotations

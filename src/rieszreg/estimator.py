@@ -25,19 +25,18 @@ content they depend on, never by the arm value: the regression Q_k by stage k's
 conditioning set and subgroup, the stage-(k+1) map and the key of Q_{k+1};
 the weight a_k by stage k and the key of a_{k-1}. In ``nde`` both arms share
 the outcome regression and the stage-2 weight. Every fold's weights are
-fitted before any assembly: sieve folds in process, network folds, the slow
-fits, one per item of ``data.forked_map``.
+fitted before any assembly: network folds, the slow fits, in groups, one
+per item of ``data.forked_map``, each level's networks in one batch.
 """
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 
 import numpy as np
 
-from . import __version__
+from . import __version__, data as data_module
 from .basis import BASIS_POLICIES, FoldDesigns, make_basis
 from .data import Dataset, forked_map
 from .errors import (DegenerateFoldError, NonFiniteEifError, RieszregError, SchemaError,
@@ -45,7 +44,7 @@ from .errors import (DegenerateFoldError, NonFiniteEifError, RieszregError, Sche
 from .estimands import EstimandSpec, apply_map, validate_binding
 from .mlp import MlpConfig
 from .nuisance import OUTCOME_FAMILIES, fit_folds
-from .riesz import METHODS, SieveRieszFit, fit_sequential
+from .riesz import METHODS, SieveRieszFit, fit_chains
 from .simulate import substream
 
 
@@ -315,19 +314,25 @@ def _estimate_concrete(spec: EstimandSpec, chains, designs: FoldDesigns,
 
 
 def _fit_weights(specs, designs: FoldDesigns, settings: EstimatorSettings) -> list:
-    """Every fold's weight chain for every arm: result[v][i] is arm i's chain
-    on fold v. Sieve folds fit in process; network folds train one
-    ``forked_map`` item each, and a fold's arms share its stages in ``fits``."""
-    def fold_chains(v: int) -> list:
-        return [fit_sequential(spec, designs.fold(v), method=settings.riesz_method,
-                               basis_policy=settings.riesz_basis, degree=settings.degree,
-                               ridge=settings.ridge, mlp_config=settings.mlp)
-                for spec in specs]
+    """result[v][i] is arm i's weight chain on fold v. Fold v is in group v % w
+    (w = ``fork_workers(folds)`` for networks, 1 for sieves), a ``forked_map``
+    item that ``fit_chains`` fits level by level. A fold's error is its value;
+    the lowest fold's first in (level, arm) order is raised, serial or forked."""
+    workers = data_module.fork_workers(designs.folds) if settings.riesz_method == "mlp" else 1
 
-    if settings.riesz_method == "sieve":
-        return [fold_chains(v) for v in range(designs.folds)]
-    with closing(forked_map(fold_chains, range(designs.folds))) as made:
-        return list(made)
+    def group_chains(j: int) -> list:
+        views = [designs.fold(v) for v in range(j, designs.folds, workers)]
+        made = fit_chains([(spec, view) for view in views for spec in specs],
+                          settings.riesz_method, settings.riesz_basis, settings.degree,
+                          settings.ridge, settings.mlp)
+        return [made[i:i + len(specs)] for i in range(0, len(made), len(specs))]
+
+    groups = list(forked_map(group_chains, range(workers)))
+    by_fold = [groups[v % workers][v // workers] for v in range(designs.folds)]
+    for chains in by_fold:
+        if isinstance(chains[0], Exception):
+            raise chains[0]
+    return by_fold
 
 
 def _held_out(fit, designs: FoldDesigns, rows: slice) -> np.ndarray:

@@ -1,15 +1,16 @@
-"""Small ReLU multilayer perceptron trained with Adam, in plain numpy.
+"""Small ReLU multilayer perceptrons trained with Adam, in plain numpy.
 
-The network is deliberately tiny (default two hidden layers of four units)
+The networks are deliberately tiny (default two hidden layers of four units)
 and single-threaded, so fits are deterministic given their seed. The module
 knows nothing about any particular loss: callers run ``forward_cached``,
-supply the gradient of their loss with respect to the network output, and
-``backward`` returns the flat parameter gradient, which ``AdamState.step``
-applies in place to one flat parameter vector. Each layer is a block of that
-vector, its weights over its bias row (``views``), and every activation
-carries a ones row, so a layer is one matmul forward and one matmul for its
-weight and bias gradients. Analytic gradients can be audited against central
-finite differences via ``numeric_gradient``.
+supply the gradient of their loss with respect to each network output, and
+``backward`` returns the parameter gradient, which ``AdamState.step``
+applies in place. J networks of one shape train as the rows of a (J, P)
+array, each layer a (J, fan_in + 1, fan_out) block, weights over bias row
+(``views``), every activation a (J, units + 1, rows) slab over a ones row. A
+layer is one stacked matmul forward and one for its weight and bias
+gradients, each network's slab computed alone, so a network gets the same
+bits in any batch. Gradients can be audited via ``numeric_gradient``.
 """
 
 from __future__ import annotations
@@ -60,65 +61,69 @@ def init_params(n_inputs: int, config: MlpConfig, rng: np.random.Generator):
 
 
 def views(flat: np.ndarray, template):
-    """Each layer's (fan_in + 1, fan_out) block of ``flat``, its weights over
-    its bias row, laid out as ``flatten`` lays out ``template``."""
+    """Each layer's (..., fan_in + 1, fan_out) block of ``flat`` (..., P), its
+    weights over its bias row, laid out as ``flatten`` lays out ``template``."""
     cuts = np.cumsum([w.size + b.size for w, b in template])[:-1]
-    return [part.reshape(len(w) + 1, b.size)
-            for part, (w, b) in zip(np.split(flat, cuts), template)]
+    return [part.reshape(*flat.shape[:-1], len(w) + 1, b.size)
+            for part, (w, b) in zip(np.split(flat, cuts, axis=-1), template)]
 
 
 def forward(params, x: np.ndarray) -> np.ndarray:
     """Network output per row of ``x`` (rows, inputs), given (weights, bias) pairs."""
-    inputs = np.vstack([x.T, np.ones(len(x))])
-    return Workspace(params, len(x)).forward(views(flatten(params), params), inputs)[0]
+    inputs = np.vstack([x.T, np.ones(len(x))])[None]
+    return Workspace(params, len(x)).forward(views(flatten(params)[None], params), inputs)[0][0]
 
 
 def forward_cached(blocks, x: np.ndarray, work: Workspace):
-    """Forward pass over ``x`` (rows, inputs + 1), whose last column is ones,
-    keeping the activations for ``backward``; pass ``x`` F-ordered."""
+    """Forward pass keeping the activations for ``backward``; ``x`` is the
+    transpose of the (J, inputs + 1, rows) input slabs, whose last row is ones."""
     return work.forward(blocks, x.T)
 
 
 def backward(blocks, activations, grad_out: np.ndarray, work: Workspace) -> np.ndarray:
-    """``work.grad``, laid out as ``flatten``, given d(loss)/d(output) per row:
-    each layer's block is one matmul of the activations below it with the
-    errors at its units, which then overwrite those activations."""
-    delta = grad_out[None, :]
+    """``work.grad`` (J, P) given d(loss)/d(output) (J, rows), right after the
+    forward pass: each layer's block is one stacked matmul of the activations
+    below with the errors at its units, which then overwrite them. A hidden
+    layer's ReLU mask is its units > 0; the forward pass leaves the last's."""
+    delta = grad_out[:, None]
     for layer in range(len(blocks) - 1, -1, -1):
         below = activations[layer]
-        np.matmul(below, delta.T, out=work.grads[layer])
+        np.matmul(below, delta.mT, out=work.grads[layer])
         if layer > 0:
+            if layer < len(blocks) - 1:
+                np.greater(below[:, :-1], 0.0, out=work.mask)
             # from the output's one row, W @ delta is an outer product: broadcast it
-            product = np.multiply if len(delta) == 1 else np.matmul
-            delta = product(blocks[layer][:-1], delta, out=below[:-1])
-            delta *= work.masks[layer - 1]
+            product = np.multiply if delta.shape[1] == 1 else np.matmul
+            delta = product(blocks[layer][:, :-1], delta, out=below[:, :-1])
+            delta *= work.mask
     return work.grad
 
 
 class Workspace:
-    """The buffers of a fit's passes over ``rows`` stacked rows, feature-major:
-    each hidden layer's units over a fixed ones row, and their ReLU mask; the
-    output; the flat gradient and its layer blocks."""
+    """The buffers of J networks' passes over ``rows`` rows, feature-major:
+    each hidden layer's units over a fixed ones row; one ReLU mask (the hidden
+    layers are of one width); the output; the (J, P) gradient and its blocks."""
 
-    def __init__(self, template, rows: int):
-        self.masks = [np.empty((b.size, rows)) for _, b in template[:-1]]
-        self.layers = [np.ones((len(m) + 1, rows)) for m in self.masks] + [np.empty((1, rows))]
-        self.grad = np.empty(sum(w.size + b.size for w, b in template))
+    def __init__(self, template, rows: int, networks: int = 1):
+        self.mask = np.empty((networks, template[0][1].size, rows))
+        self.layers = ([np.ones((networks, b.size + 1, rows)) for _, b in template[:-1]]
+                       + [np.empty((networks, 1, rows))])
+        self.grad = np.empty((networks, sum(w.size + b.size for w, b in template)))
         self.grads = views(self.grad, template)
 
     def forward(self, blocks, x: np.ndarray):
-        """(output per row, activations) of ``x`` (inputs + 1, rows). ReLU
+        """(output (J, rows), activations) of ``x`` (J, inputs + 1, rows). ReLU
         multiplies units by their mask, so a pre-activation of -inf gives nan."""
         activations = [x]
-        for block, buffer, mask in zip(blocks[:-1], self.layers, self.masks):
-            units = np.matmul(block.T, activations[-1], out=buffer[:-1])
-            units *= np.greater(units, 0.0, out=mask)
+        for block, buffer in zip(blocks[:-1], self.layers):
+            units = np.matmul(block.mT, activations[-1], out=buffer[:, :-1])
+            units *= np.greater(units, 0.0, out=self.mask)
             activations.append(buffer)
-        return np.matmul(blocks[-1].T, activations[-1], out=self.layers[-1])[0], activations
+        return np.matmul(blocks[-1].mT, activations[-1], out=self.layers[-1])[:, 0], activations
 
 
 class AdamState:
-    """Flat first/second moment accumulators with bias correction, and temporaries."""
+    """Moment accumulators shaped as the parameters, with bias correction."""
 
     def __init__(self, flat: np.ndarray):
         self.m, self.v, self.num, self.den = (np.zeros_like(flat) for _ in range(4))

@@ -8,14 +8,16 @@ whose population minimizer is the representer itself and whose minimum is
 -E[representer^2] (Chernozhukov, Newey and Singh, Econometrica 2022). Two
 fitters are provided: a closed-form linear sieve (exact normal-equation
 minimizer over a feature dictionary, optionally ridged) and a small ReLU
-network trained by Adam on backpropagated gradients of the same loss. Every
-sieve fit is a ``SieveRieszFit``: stage regressions too, and the constant 1
-weight of a marginal outermost stage. Nested estimands are handled
-sequentially: each stage's fitted weight is the next stage's loss weight.
+network trained by Adam on the same loss over each distinct input, in
+batches (``fit_mlps``). Every sieve fit is a ``SieveRieszFit``: stage
+regressions too, and the constant 1 weight of a marginal outermost stage.
+Nested estimands are handled sequentially, level by level (``fit_chains``):
+each stage's fitted weight is the next stage's loss weight.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -169,60 +171,62 @@ def representation_residuals(fit: SieveRieszFit, fmap: FunctionalMap, data,
 
 def fit_mlp(fmap: FunctionalMap, data, config: MlpConfig, weights=None,
             columns=None) -> MlpRieszFit:
-    """Minimize the same empirical loss by Adam on backpropagated gradients.
-
-    ``columns`` fixes the network's input order (defaults to the map's free
-    variables followed by its assigned variables). Training is deterministic
-    given config.seed; the returned fit carries the full loss curve, the loss
-    at the start of each epoch and then the final loss, with the final entry
-    never above the initial one for epochs > 0 monitored by the divergence
-    guard.
+    """Minimize the same empirical loss by Adam on backpropagated gradients
+    (``fit_mlps`` of one problem, raising its error). ``columns`` fixes the
+    network's input order (defaults to the map's free variables followed by
+    its assigned variables). Training is deterministic given config.seed; the
+    returned fit carries the full loss curve, the loss at the start of each
+    epoch and then the final loss, with the final entry never above the
+    initial one for epochs > 0 monitored by the divergence guard.
     """
-    columns, inputs, n, map_grad = _mlp_problem(fmap, data, weights, columns)
-    rng = substream(config.seed)
-    init = mlp_net.init_params(len(columns), config, rng)
-    flat = mlp_net.flatten(init)
-    blocks = mlp_net.views(flat, init)
-    state = mlp_net.AdamState(flat)
-    batch = config.batch_size
-    sizes = {n} if batch is None else {n, min(batch, n), n % batch} - {0}
-    work = {rows: mlp_net.Workspace(init, rows * len(map_grad) // n) for rows in sizes}
-    full_grad = map_grad / n  # its map-term rows never change
-    curve = np.empty(config.epochs + 1)
-
-    def full_loss() -> float:
-        return _mlp_loss(work[n].forward(blocks, inputs)[0], full_grad, n)
-
-    def record(epoch: int, loss: float) -> None:
-        curve[epoch] = loss
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"training loss became non-finite at epoch {epoch} "
-                                        f"of {config.epochs} (loss={loss!r})")
-
-    # overflow here is the divergence signal, not a numerical accident to warn on
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(config.epochs):
-            if batch is None:
-                loss, grad = _mlp_gradient(blocks, inputs, full_grad, n, work[n])
-                state.step(flat, grad, config)
-                record(epoch, loss)  # the gradient pass yields the epoch's entry loss
-            else:
-                record(epoch, full_loss())
-                order = rng.permutation(n)
-                for start in range(0, n, batch):
-                    x, grad_out, rows = _minibatch(inputs, map_grad, n, order[start:start + batch])
-                    state.step(flat, _mlp_gradient(blocks, x, grad_out, rows, work[rows])[1],
-                               config)
-        record(config.epochs, full_loss())
-    return MlpRieszFit(columns, mlp_net.unflatten(flat, init), config, float(curve[-1]), curve)
+    (fit,) = fit_mlps([(fmap, data, weights, columns)], config)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
-def _mlp_problem(fmap: FunctionalMap, data, weights, columns):
-    """The network's view of the Riesz loss: the input column order; the
-    inputs, feature-major (columns + 1, rows) with a last row of ones, of the
-    observed rows followed by one block of rows per map term; the row count
-    n; and the map terms' gradient of the loss with respect to each output,
-    times the row count (-2 * coef * w on a term row, 0 on an observed row)."""
+def fit_mlps(problems, config: MlpConfig) -> list:
+    """One network per (fmap, data, weights, columns) problem, as ``fit_mlp``
+    trains it; each result is the fit or the problem's error. Full-batch, the
+    networks of equal (inputs, padded rows) train in one Adam loop. Shape
+    rule: a network's padded problem depends only on its own data, so it
+    trains to the same bits in any batch, alone included (BLAS sums a product
+    padded to another length in another order). Minibatches: with
+    ``config.batch_size`` set, each network trains alone on its stacked rows."""
+    results, batches = [], {}
+    for args in problems:
+        try:
+            problem = _mlp_problem(*args, distinct=config.batch_size is None)
+            batches.setdefault(problem.inputs.shape if config.batch_size is None
+                               else len(results), []).append((len(results), problem))
+            results.append(problem.columns)
+        except Exception as exc:  # the problem's error is its result
+            results.append(exc)
+    problem = None  # the batches hold the problems; each batch's are freed once stacked
+    for shape in list(batches):
+        batch = [i for i, _ in batches[shape]]
+        init, flat, curves = _train([problem for _, problem in batches.pop(shape)], config)
+        for j, i in enumerate(batch):
+            curve, bad = curves[:, j].copy(), np.flatnonzero(~np.isfinite(curves[:, j]))
+            results[i] = TrainingDivergedError(
+                f"training loss became non-finite at epoch {bad[0]} of {config.epochs} "
+                f"(loss={float(curve[bad[0]])!r})") if bad.size else MlpRieszFit(
+                results[i], mlp_net.unflatten(flat[j], init), config,
+                float(curve[-1]), curve)
+    return results
+
+
+_MlpProblem = namedtuple("_MlpProblem", "columns inputs q lin n")
+
+
+def _mlp_problem(fmap: FunctionalMap, data, weights, columns,
+                 distinct: bool = True) -> _MlpProblem:
+    """The loss of ``fit_mlp``'s arguments: over the columns x of ``inputs``
+    (columns + 1, rows; the last row ones), the sum of q f(x)^2 / 2 + lin
+    f(x), q and lin times n. Stacked: the n observed rows (q = 2), then one
+    block of rows per map term (lin = -2 * coef * w). Distinct: each distinct
+    input once, those of observed rows first, q and lin summed over its rows,
+    padded with q = lin = 0 to a multiple of 64."""
     cols, n = as_columns(data)
     weights = _check_weights(weights, n)
     if columns is None:
@@ -238,32 +242,68 @@ def _mlp_problem(fmap: FunctionalMap, data, weights, columns):
     for row, c in enumerate(columns):
         np.concatenate([np.asarray(block[c], dtype=np.float64) for block in blocks],
                        out=inputs[row])
-    map_grad = np.concatenate([np.zeros(n)] + [-2.0 * coef * weights for coef, _ in terms])
-    return columns, inputs, n, map_grad
+    q = np.concatenate([np.full(n, 2.0), np.zeros(len(terms) * n)])
+    lin = np.concatenate([np.zeros(n)] + [-2.0 * coef * weights for coef, _ in terms])
+    if not distinct:
+        return _MlpProblem(columns, inputs, q, lin, n)
+    values, inverse = np.unique(inputs, axis=1, return_inverse=True)
+    stacked = np.vstack([values] + [np.bincount(inverse.ravel(), part) for part in (q, lin)])
+    order = np.argsort(stacked[-2] == 0, kind="stable")  # observed inputs first
+    padded = np.zeros((len(stacked), -(-len(order) // 64) * 64))
+    padded[:, :len(order)] = stacked[:, order]
+    return _MlpProblem(columns, padded[:-2], padded[-2], padded[-1], n)
 
 
-def _minibatch(inputs, map_grad, n: int, rows):
-    """The batch of training ``rows``, stacked as ``_mlp_problem`` stacks all
-    rows: (inputs, output gradient with the map-term rows set, row count)."""
-    index = (rows + np.arange(0, len(map_grad), n)[:, None]).ravel()
-    return inputs[:, index], map_grad[index] / len(rows), len(rows)
+def _train(problems, config: MlpConfig):
+    """Train one network per problem of one shape, from one seeded start, as
+    the rows of a (J, P) parameter array; returns (template, parameters,
+    curves), curves[e] each network's loss at the start of epoch e."""
+    rng = substream(config.seed)
+    init = mlp_net.init_params(len(problems[0].columns), config, rng)
+    flat = np.tile(mlp_net.flatten(init), (len(problems), 1))
+    blocks, state = mlp_net.views(flat, init), mlp_net.AdamState(flat)
+    x = np.stack([p.inputs for p in problems])
+    q, lin = (np.stack([getattr(p, part) / p.n for p in problems]) for part in ("q", "lin"))
+    curves, dropped, buffers = np.empty((config.epochs + 1, len(problems))), np.empty(1), {}
+    problem = problems[0] if config.batch_size else None  # a minibatch's stacked rows
+    del problems  # the only reference: full-batch problems are freed once stacked
+
+    def step(x, q, lin, loss, train=True):  # twice the losses, then a step if train
+        if x.shape[-1] not in buffers:  # made once per row count
+            buffers[x.shape[-1]] = (mlp_net.Workspace(init, x.shape[-1], len(x)),
+                                    (np.empty(q.shape), np.empty(len(q))))
+        work, spare = buffers[x.shape[-1]]
+        if not train:
+            return _mlp_gradient(work.forward(blocks, x)[0], q, lin, loss, spare)
+        out, activations = mlp_net.forward_cached(blocks, x.T, work)
+        grad = mlp_net.backward(blocks, activations, _mlp_gradient(out, q, lin, loss, spare), work)
+        state.step(flat, grad, config)
+
+    # overflow here is the divergence signal, read off the curves afterwards
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            if config.batch_size is None:
+                step(x, q, lin, curves[epoch])  # the gradient pass yields the entry loss
+                continue
+            step(x, q, lin, curves[epoch], train=False)
+            order = rng.permutation(problem.n)
+            for start in range(0, problem.n, config.batch_size):
+                rows = order[start:start + config.batch_size]
+                index = (rows + np.arange(0, x.shape[-1], problem.n)[:, None]).ravel()
+                step(x[:, :, index], problem.q[None, index] / len(rows),
+                     problem.lin[None, index] / len(rows), dropped)
+        step(x, q, lin, curves[-1], train=False)
+    return init, flat, curves / 2
 
 
-def _mlp_gradient(blocks, x, grad_out, rows: int, work):
-    """Loss and flat parameter gradient on a batch of ``rows`` observed rows
-    followed by their term rows, as ``_mlp_problem`` stacks them, passed
-    through ``work``. ``grad_out`` holds the map terms' output gradient; its
-    observed rows are overwritten."""
-    out, activations = mlp_net.forward_cached(blocks, x.T, work)
-    loss = _mlp_loss(out, grad_out, rows)
-    np.divide(out[:rows], rows / 2, out=grad_out[:rows])  # 2 * out / rows, bit for bit
-    return loss, mlp_net.backward(blocks, activations, grad_out, work)
-
-
-def _mlp_loss(out, grad_out, rows: int) -> float:
-    """mean(f^2) over the observed rows minus 2 * mean(w * m(f)), the second
-    part being the map-term rows of ``grad_out`` dotted with their outputs."""
-    return float(out[:rows] @ out[:rows] / rows + grad_out[rows:] @ out[rows:])
+def _mlp_gradient(out, q, lin, loss, spare):
+    """The gradient q f + lin of the loss sum(q f^2 / 2 + lin f) in outputs f
+    (J, rows), in ``spare[0]``; twice the losses (J,) in ``loss``."""
+    grad = np.multiply(q, out, out=spare[0])
+    grad += lin
+    np.matmul(out[:, None], grad[:, :, None], out=loss[:, None, None])
+    loss += np.matmul(out[:, None], lin[:, :, None], out=spare[1][:, None, None])[:, 0, 0]
+    return grad
 
 
 def mlp_loss_gradients(fmap: FunctionalMap, data, config: MlpConfig, weights=None,
@@ -271,15 +311,20 @@ def mlp_loss_gradients(fmap: FunctionalMap, data, config: MlpConfig, weights=Non
     """Analytic vs central-finite-difference loss gradients at the seeded
     initialization; returns (analytic, numeric) flat arrays. The analytic
     gradient is the one full-batch training steps on."""
-    columns, inputs, n, map_grad = _mlp_problem(fmap, data, weights, columns)
-    params = mlp_net.init_params(len(columns), config, substream(config.seed))
-    flat, work = mlp_net.flatten(params), mlp_net.Workspace(params, len(map_grad))
-    grad_out = map_grad / n
-    analytic = _mlp_gradient(mlp_net.views(flat, params), inputs, grad_out, n, work)[1]
-    numeric = mlp_net.numeric_gradient(
-        lambda f: _mlp_loss(work.forward(mlp_net.views(f, params), inputs)[0], grad_out, n),
-        flat, step=step)
-    return analytic, numeric
+    problem = _mlp_problem(fmap, data, weights, columns)
+    params = mlp_net.init_params(len(problem.columns), config, substream(config.seed))
+    x, q, lin = problem.inputs[None], problem.q[None] / problem.n, problem.lin[None] / problem.n
+    work, loss = mlp_net.Workspace(params, x.shape[-1]), np.empty(1)
+    spare = np.empty(q.shape), np.empty(1)
+
+    def gradient(flat, analytic=False):
+        blocks = mlp_net.views(flat[None], params)
+        out, activations = mlp_net.forward_cached(blocks, x.T, work)
+        grad = _mlp_gradient(out, q, lin, loss, spare)
+        return mlp_net.backward(blocks, activations, grad, work)[0] if analytic else loss[0] / 2
+
+    flat = mlp_net.flatten(params)
+    return gradient(flat, analytic=True), mlp_net.numeric_gradient(gradient, flat, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -292,50 +337,73 @@ METHODS = ("sieve", "mlp")
 def fit_sequential(spec: EstimandSpec, data, method: str = "sieve",
                    basis_policy: str = "default", degree: int = 2,
                    ridge: float | None = None, mlp_config: MlpConfig | None = None) -> list:
-    """Fit one representer per stage, outermost first.
-
-    Stage k's loss weights are the fitted stage k-1 weight (ones at k=1); a
-    marginal outermost stage takes ``constant_one_fit`` without fitting.
-    Every sieve weight is a ``SieveRieszFit``, handed on as its fit (see
-    ``fit_sieve``), never evaluated; a network weight is handed on as values.
-    ``data`` is a dataset or a fold view of a ``FoldDesigns``: sieves read
-    its training blocks, networks train on its ``training_set()``. Its
-    ``fits`` hands back a fit already made for the same stage chain: stage k
-    is keyed by the training blocks, the settings, its content and the
-    stage-(k-1) key.
+    """Fit one representer per stage, outermost first (``fit_chains`` of one
+    chain, raising its error). Stage k's loss weights are the fitted stage
+    k-1 weight (ones at k=1); a marginal outermost stage takes
+    ``constant_one_fit`` without fitting. Every sieve weight is a
+    ``SieveRieszFit``, handed on as its fit (see ``fit_sieve``), never
+    evaluated; a network weight is handed on as values. ``data`` is a dataset
+    or a fold view of a ``FoldDesigns``: sieves read its training blocks,
+    networks train on its ``training_set()``. Its ``fits`` hands back a fit
+    already made for the same stage chain: stage k is keyed by the training
+    blocks, the settings, its content and the stage-(k-1) key.
     """
-    if spec.is_contrast:
+    (fits,) = fit_chains([(spec, data)], method, basis_policy, degree, ridge, mlp_config)
+    if isinstance(fits, Exception):
+        raise fits
+    return fits
+
+
+def fit_chains(chains, method: str = "sieve", basis_policy: str = "default", degree: int = 2,
+               ridge: float | None = None, mlp_config: MlpConfig | None = None) -> list:
+    """Each (spec, data) chain's fits as ``fit_sequential`` makes them, level
+    by level, a level's networks in one ``fit_mlps`` call. Per-fold errors:
+    the chains on one data object are a fold, whose error is its value: its
+    chains yield its first error in (level, chain) order and its later levels
+    are skipped, while the other folds go on. ``fits`` memoizes errors too."""
+    if any(spec.is_contrast for spec, _ in chains):
         raise SchemaError("instantiate contrast specs before fitting representers")
     if method not in METHODS:
         raise SchemaError(f"unknown Riesz method {method!r}; expected {METHODS}")
-    if method == "mlp" and mlp_config is None:
-        mlp_config = MlpConfig()
-    designs = as_designs(data)
-    rows = designs.training_set() if method == "mlp" else designs
-    fits: list = []
-    weights = key = None
-    for k in range(1, spec.depth + 1):
-        stage = spec.stage(k)
-        key = ("alpha", designs.train, method, basis_policy, degree, ridge, mlp_config,
-               stage, key)
-        if key in designs.fits:
-            fit = designs.fits[key]
-        elif k == 1 and not stage.given:
-            fit = constant_one_fit()
-        elif method == "sieve":
-            basis = make_basis(basis_policy, stage.given, designs.data, degree)
-            fit = fit_sieve(stage.fmap, designs, basis, ridge=ridge, weights=weights)
-        else:
-            stage_seed = int(np.random.SeedSequence(
-                mlp_config.seed, spawn_key=(k,)).generate_state(1)[0])
-            fit = fit_mlp(stage.fmap, rows, replace(mlp_config, seed=stage_seed),
-                          weights=weights, columns=stage.given)
-        designs.fits[key] = fit
-        fits.append(fit)
-        if k < spec.depth:  # only a later stage reads the weights
-            weights = fit if method == "sieve" else np.asarray(fit(rows.columns),
-                                                                dtype=np.float64)
-    return fits
+    mlp_config = MlpConfig() if method == "mlp" and mlp_config is None else mlp_config
+    designs = [as_designs(data) for _, data in chains]  # a fold's chains share its rows
+    rows = {id(view): view.training_set() for view in dict.fromkeys(designs) if method == "mlp"}
+    fits, errors = [[] for _ in chains], {}  # errors by fold
+    keys, weights = [None] * len(chains), [None] * len(chains)
+    for k in range(1, max(spec.depth for spec, _ in chains) + 1):
+        stages = {i: spec.stage(k) for i, (spec, _) in enumerate(chains)
+                  if k <= spec.depth and id(designs[i]) not in errors}
+        nets = {}  # a network's key -> the first chain that needs it
+        for i, stage in stages.items():
+            keys[i] = ("alpha", designs[i].train, method, basis_policy, degree, ridge, mlp_config,
+                       stage, keys[i])
+            if keys[i] in designs[i].fits or keys[i] in nets:
+                continue
+            if k == 1 and not stage.given:
+                designs[i].fits[keys[i]] = constant_one_fit()
+            elif method == "mlp":
+                nets[keys[i]] = i
+            else:
+                try:
+                    designs[i].fits[keys[i]] = fit_sieve(stage.fmap, designs[i], make_basis(
+                        basis_policy, stage.given, designs[i].data, degree), ridge, weights[i])
+                except Exception as exc:  # the fold's error is its value
+                    designs[i].fits[keys[i]] = exc
+        if nets:
+            seed = int(np.random.SeedSequence(mlp_config.seed, spawn_key=(k,)).generate_state(1)[0])
+            made = fit_mlps([(stages[i].fmap, rows[id(designs[i])], weights[i], stages[i].given)
+                             for i in nets.values()], replace(mlp_config, seed=seed))
+            for i, fit in zip(nets.values(), made):
+                designs[i].fits[keys[i]] = fit
+        for i in stages:  # in (level, chain) order
+            fit = designs[i].fits[keys[i]]
+            if id(designs[i]) in errors or isinstance(fit, Exception):
+                errors.setdefault(id(designs[i]), fit)
+                continue
+            fits[i].append(fit)
+            if k < chains[i][0].depth:  # only a later stage reads the weights
+                weights[i] = fit if method == "sieve" else fit(rows[id(designs[i])].columns)
+    return [errors.get(id(view), fit) for view, fit in zip(designs, fits)]
 
 
 # ---------------------------------------------------------------------------

@@ -423,7 +423,7 @@ def test_bad_arguments_are_refused_before_any_fit(settings, call, discrete_data,
     def no_fit(*args, **kwargs):
         raise AssertionError("fitted before the arguments were checked")
 
-    for name in ("FoldDesigns", "fit_folds", "fit_sequential", "_fit_weights"):
+    for name in ("FoldDesigns", "fit_folds", "fit_chains", "_fit_weights"):
         monkeypatch.setattr(estimator, name, no_fit)
     with pytest.raises(SchemaError, match="|".join({**settings, **call})):
         one_step_estimate(builtin_spec("ate"), discrete_data, EstimatorSettings(**settings),
@@ -543,15 +543,16 @@ class TestArmSharing:
         one_step_estimate(builtin_spec("nde"), appendix_data, folds=5, seed=4)
         # one pooled outcome regression, from which every fold's fit steps, not one per arm
         assert len(logistic) == 1
-        # networks may train in forked workers, so each call appends its pid to a file
-        log, fit_mlp = tmp_path / "fit_mlp.log", riesz.fit_mlp
+        # networks may train in forked workers, so each call appends its pid to
+        # a file once per network it trains
+        log, fit_mlps = tmp_path / "fit_mlps.log", riesz.fit_mlps
 
-        def logged(*args, **kwargs):
+        def logged(problems, config):
             with open(log, "a") as out:
-                out.write(f"{os.getpid()}\n")
-            return fit_mlp(*args, **kwargs)
+                out.write(f"{os.getpid()}\n" * len(problems))
+            return fit_mlps(problems, config)
 
-        monkeypatch.setattr(riesz, "fit_mlp", logged)
+        monkeypatch.setattr(riesz, "fit_mlps", logged)
         for workers in (1, 2):
             monkeypatch.setattr(data_module, "fork_workers", lambda folds: workers)
             log.write_text("")
@@ -665,6 +666,38 @@ class TestForkedNetworkFolds:
             assert multiprocessing.active_children() == []
         assert raised[0] == raised[1]
 
+    def test_the_lowest_folds_first_error_is_raised_as_serial(self, appendix_data, monkeypatch):
+        """Fold 1 diverges at stage 2 (loss inf) and fold 0 at stage 3 (loss
+        nan): fold 0's error is raised, not the one of the lower level, and
+        fold 1's stage 3 is never trained."""
+        spec, settings = builtin_spec("nde"), EstimatorSettings(riesz_method="mlp",
+                                                                mlp=MlpConfig(epochs=10))
+        order, bounds = _fold_order(spec.instantiate(1.0), appendix_data, 5, 3, 50)
+        designs = FoldDesigns(appendix_data, order, bounds)
+        folds = {float(np.sum(designs.fold(v).training_set().columns["M"])): v for v in range(5)}
+        problem, built = riesz._mlp_problem, []
+
+        def planted(fmap, data, weights, columns, distinct=True):
+            made = problem(fmap, data, weights, columns, distinct)
+            fold, stage = folds[float(np.sum(data.columns["M"]))], len(columns)
+            built.append((fold, stage))
+            if (fold, stage) == (1, 2):
+                made.q[made.q > 0] = np.inf
+            elif (fold, stage) == (0, 3):
+                made.lin[:] = np.nan
+            return made
+
+        monkeypatch.setattr(riesz, "_mlp_problem", planted)
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(TrainingDivergedError) as err:
+                _report_json(spec, appendix_data, settings, 5, workers, monkeypatch)
+            raised.append(str(err.value))
+            if workers == 1:  # a forked worker's problems are not seen here
+                assert (0, 3) in built and (1, 3) not in built
+        assert raised[0] == raised[1] == ("training loss became non-finite at epoch 0 of 10 "
+                                          "(loss=nan)")
+
     @pytest.mark.parametrize("lr,code", [("0.01", 0), ("1e150", 4)], ids=["ok", "diverged"])
     def test_cli_exit_code_equals_serial(self, tmp_path, monkeypatch, lr, code):
         from rieszreg.cli import main
@@ -698,14 +731,14 @@ class TestForkedNetworkFolds:
         data = tmp_path / "d.csv"
         assert main(["simulate", "--dgp", "appendix", "--n", "400", "--seed", "2",
                      "--out", str(data)]) == 0
-        parent, fit_mlp = os.getpid(), riesz.fit_mlp
+        parent, fit_mlps = os.getpid(), riesz.fit_mlps
 
         def dying(*args, **kwargs):
             if os.getpid() != parent:
                 os._exit(9)
-            return fit_mlp(*args, **kwargs)
+            return fit_mlps(*args, **kwargs)
 
-        monkeypatch.setattr(riesz, "fit_mlp", dying)
+        monkeypatch.setattr(riesz, "fit_mlps", dying)
         monkeypatch.setattr(data_module, "fork_workers", lambda folds: 2)
         capsys.readouterr()
         assert main(["estimate", "--data", str(data), "--spec", "nde", "--method", "mlp",

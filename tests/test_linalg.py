@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from rieszreg import SingularGramError
+from rieszreg import (DiscreteDgp, EstimatorSettings, SingularGramError, builtin_spec,
+                      one_step_estimate, simulate)
 from rieszreg._linalg import expit, solve_normal_equations
 
 SPECIALS = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
@@ -47,3 +48,15 @@ def test_indefinite_system_refused(ridge, hint):
     indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
     with pytest.raises(SingularGramError, match=f"indefinite.*{hint}"):
         solve_normal_equations(indefinite, np.ones(2), ridge)
+
+
+def test_singular_logistic_hessian_prints_the_ridge_as_a_float():
+    """The logistic fits pass the ridge as a numpy scalar; the message reads
+    ``ridge=0.0`` as the sieve's does, not ``ridge=np.float64(0.0)``."""
+    data = simulate(DiscreteDgp(propensity=(0.01, 0.99)), 400, 0)
+    settings = EstimatorSettings(ridge=0.0, riesz_basis="intercept", nuisance_basis="saturated",
+                                 min_rows_per_fold=10)
+    with warnings.catch_warnings(), pytest.raises(SingularGramError) as err:
+        warnings.simplefilter("ignore", RuntimeWarning)  # ill-conditioned Newton steps first
+        one_step_estimate(builtin_spec("ate"), data, settings, folds=2, seed=0)
+    assert "logistic Hessian" in str(err.value) and "(ridge=0.0)" in str(err.value)

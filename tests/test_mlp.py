@@ -2,18 +2,25 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rieszreg import (
+    AppendixDgp,
+    FunctionalMap,
+    MapTerm,
     MlpConfig,
     SchemaError,
     TrainingDivergedError,
     builtin_spec,
     fit_mlp,
+    fit_mlps,
     mlp_loss_gradients,
     simulate,
     substream,
 )
 from rieszreg import mlp as net
+from rieszreg import riesz
 from rieszreg.estimands import term_columns
 
 
@@ -170,6 +177,52 @@ class TestTraining:
             np.testing.assert_array_equal(w1, w2)
             np.testing.assert_array_equal(b1, b2)
         np.testing.assert_array_equal(first(discrete_data.columns), predicted)
+
+
+def _same_fit(one, two) -> bool:
+    return np.array_equal(one.loss_curve, two.loss_curve) and all(
+        np.array_equal(a, b) for pair in zip(one.params, two.params) for a, b in zip(*pair))
+
+
+class TestBatching:
+    """Networks trained in one ``fit_mlps`` call equal each trained alone."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(layers=st.integers(1, 3), width=st.integers(1, 6), epochs=st.integers(0, 12),
+           terms=st.lists(st.tuples(st.sampled_from([-1.0, 0.5, 2.0]), st.sampled_from([0.0, 1.0])),
+                          min_size=1, max_size=2),
+           small=st.integers(10, 20), large=st.integers(70, 200), seed=st.integers(0, 2 ** 31))
+    def test_a_network_in_a_batch_equals_it_alone(self, layers, width, epochs, terms, small,
+                                                  large, seed):
+        """Bit for bit, over row counts whose padded sizes differ within the
+        call (a small set's at most 60 distinct inputs pad to 64 rows, a large
+        one's at least 70 to more), two networks of each size, on the same
+        inputs with other weights, batching."""
+        fmap = FunctionalMap(tuple(MapTerm(coef, (("A", a),)) for coef, a in terms), ("M", "W"))
+        config = MlpConfig(hidden_layers=layers, width=width, epochs=epochs, seed=seed % 97)
+        data = {n: simulate(AppendixDgp(), n, seed + n) for n in (small, large)}
+        problems = [(fmap, data[n], substream(seed + n, k + 1).uniform(0.5, 1.5, size=n),
+                     ("A", "M", "W")) for k in range(2) for n in (small, large)]
+        shapes = [riesz._mlp_problem(*problem).inputs.shape for problem in problems]
+        assert shapes[0] == shapes[2] != shapes[1] == shapes[3]
+        batched = fit_mlps(problems, config)
+        for problem, fit in zip(problems, batched):
+            assert _same_fit(fit, fit_mlps([problem], config)[0])
+
+    def test_a_dataset_stacked_on_itself_trains_the_same_network(self, appendix_dgp):
+        """Each distinct input doubles its count and its summed term weights,
+        so only the rounding of those sums differs, over 500 epochs."""
+        nde = builtin_spec("nde").instantiate(1.0).stage(3)
+        data = simulate(appendix_dgp, 300, 4)
+        weights = substream(4, 2).uniform(0.5, 1.5, size=data.n)
+        twice = data.subset(np.tile(np.arange(data.n), 2))
+        one = fit_mlp(nde.fmap, data, MlpConfig(), weights=weights, columns=nde.given)
+        two = fit_mlp(nde.fmap, twice, MlpConfig(), weights=np.tile(weights, 2),
+                      columns=nde.given)
+        _close(two.loss_curve, one.loss_curve, rtol=1e-12)
+        for (w, b), (w_one, b_one) in zip(two.params, one.params):
+            _close(w, w_one, rtol=1e-12)
+            _close(b, b_one, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ def test_tracer_target_exists(span):
 def test_mlp_counters_count_one_full_batch_step_per_epoch(monkeypatch, discrete_data):
     """``mlp.rows`` sums ``forward_cached``'s ``x.shape[0]`` and
     ``riesz.mlp_epochs`` is ``len(loss_curve) - 1``: a full-batch fit makes
-    one forward pass over every stacked row, one ``backward`` and one Adam
-    step per epoch."""
+    one forward pass over its padded distinct rows, one ``backward`` and one
+    Adam step per epoch."""
     from rieszreg import MlpConfig, builtin_spec, fit_mlp
     from rieszreg import mlp as net
 
@@ -68,5 +68,6 @@ def test_mlp_counters_count_one_full_batch_step_per_epoch(monkeypatch, discrete_
     fmap = builtin_spec("ate").stage(2).fmap
     data = discrete_data.subset(np.arange(120))
     fit = fit_mlp(fmap, data, MlpConfig(epochs=7, seed=3), columns=("A", "W"))
-    assert calls["forward_cached"] == [(len(fmap.terms) + 1) * data.n] * 7
+    # the 4 distinct (A, W) inputs of the observed and term rows, padded to 64 rows
+    assert calls["forward_cached"] == [64] * 7
     assert calls["backward"] == calls["step"] == len(fit.loss_curve) - 1 == 7
