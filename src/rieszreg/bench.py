@@ -3,7 +3,7 @@
 Each task draws fresh datasets from a DGP, estimates one estimand per
 replicate, and compares against the quadrature/enumeration truth. Replicate
 seeds are pre-assigned from the task seed, so results are identical whether
-replicates run serially or on a process pool.
+replicates run serially or on forked processes (``data.forked_map``).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import forked_map
 from .errors import is_integer, require
 from .estimands import EstimandSpec, validate_binding
 from .estimator import EstimatorSettings, one_step_estimate
@@ -62,17 +63,9 @@ def run_replicate(task: BenchTask, rep: int) -> dict:
 
 
 def run_task(task: BenchTask, threads: int = 1) -> list[dict]:
-    """All replicate rows for one task, in replicate order."""
+    """All replicate rows for one task, in replicate order, on <= ``threads`` processes."""
     require(is_integer(threads) and threads >= 1, "threads must be an integer >= 1", threads)
-    if threads <= 1 or task.replicates == 1:
-        return [run_replicate(task, rep) for rep in range(task.replicates)]
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor  # pooling only
-    try:
-        with ProcessPoolExecutor(max_workers=threads) as pool:  # map yields in input order
-            return list(pool.map(run_replicate, [task] * task.replicates, range(task.replicates),
-                                 chunksize=max(1, task.replicates // (4 * threads))))
-    except BrokenProcessPool as exc:  # a worker died: an I/O error, as in forked_map
-        raise ChildProcessError(f"a benchmark worker process ended early ({exc})") from None
+    return list(forked_map(lambda rep: run_replicate(task, rep), range(task.replicates), threads))
 
 
 def summarize(task: BenchTask, rows: list[dict], truth: float) -> dict:
@@ -105,8 +98,7 @@ def run_benchmark(tasks: list[BenchTask], threads: int = 1) -> list[dict]:
     for task in tasks:
         report = truth_report(task.spec, task.dgp)
         truth = oracle_value(report)
-        rows = run_task(task, threads=threads)
-        table.append({**summarize(task, rows, truth), "truth_report": report})
+        table.append({**summarize(task, run_task(task, threads), truth), "truth_report": report})
     return table
 
 
@@ -116,11 +108,6 @@ BENCHMARK_COLUMNS = ("dgp", "spec", "method", "n", "replicates", "folds", "truth
 
 
 def benchmark_csv(table: list[dict]) -> str:
-    lines = [",".join(BENCHMARK_COLUMNS)]
-    for row in table:
-        cells = []
-        for col in BENCHMARK_COLUMNS:
-            value = row[col]
-            cells.append(repr(value) if isinstance(value, float) else str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    """The table as CSV; a float cell is its shortest round-tripping text."""
+    lines = [BENCHMARK_COLUMNS, *([row[col] for col in BENCHMARK_COLUMNS] for row in table)]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)

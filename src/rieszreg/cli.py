@@ -7,9 +7,9 @@ Reports are JSON; row data is CSV. Every command is deterministic given its
 flags and seed.
 
 Exit codes: 0 success, 1 failed verification checks, 2 usage, 3 schema or
-spec errors, 4 numerical errors, 5 I/O errors. The environment variables
-RIESZREG_OUTDIR (prefix for relative output paths) and RIESZREG_THREADS
-(default worker count for ``benchmark``) override the built-in defaults.
+spec errors, 4 numerical errors, 5 I/O errors. RIESZREG_OUTDIR prefixes
+relative output paths, and RIESZREG_THREADS sets the default N of
+``benchmark --threads N``, which runs on at most N processes.
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--folds", type=_positive_int, default=5)
     ben.add_argument("--seed", type=_nonnegative_int, required=True)
     # a string default goes through the type check, so a bad variable is a usage error
-    ben.add_argument("--threads", type=_positive_int,
+    ben.add_argument("--threads", type=_positive_int, metavar="N",
                      default=os.environ.get("RIESZREG_THREADS", "1"),
-                     help="worker processes (default: RIESZREG_THREADS or 1)")
+                     help="at most N processes (default: RIESZREG_THREADS or 1)")
     ben.add_argument("--out", required=True)
     _add_method_flags(ben)
     ben.set_defaults(handler=_cmd_benchmark)

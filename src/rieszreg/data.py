@@ -4,9 +4,9 @@ A Dataset is a small column-major table: one float64 array per column plus a
 schema describing each column's role (covariate, treatment, mediator, outcome)
 and support (binary, categorical with levels, real). CSV export writes a
 sidecar JSON document holding the schema so files round-trip losslessly.
-``forked_map`` shares independent items with forked children: the writers'
-number text, and an estimate's network fold groups; ``fork_workers`` is its
-gate.
+``forked_map``, the package's one way to start processes, shares independent
+items with forked children: the writers' number text, an estimate's network
+fold groups and a benchmark task's replicates. ``fork_workers`` is its gate.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import os
 import pickle
 import select
-import sys
 import warnings
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -48,25 +47,24 @@ def as_columns(data) -> tuple[dict, int]:
 # Rows (CSV) or array items (JSON) formatted and written per part of at most
 # CHUNK, so a writer never holds a whole file's text.
 CHUNK = 65536
+_nested = False  # True in a forking map's children, and in its parent until the map ends
 
 
 def fork_workers(parts: int) -> int:
     """Processes for ``parts`` independent parts: one per part up to the usable
-    cores; 1 without ``os.fork`` or ``os.sched_getaffinity``, or in a
-    multiprocessing child (e.g. a benchmark replicate), whose parent uses them."""
-    pool = sys.modules.get("multiprocessing")  # loaded in every multiprocessing child
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or (
-            pool and pool.parent_process()):
+    cores; 1 without ``os.fork`` or ``os.sched_getaffinity``, or while a map forks."""
+    if _nested or not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return max(1, min(parts, len(os.sched_getaffinity(0))))
 
 
-def forked_map(fn, items):
+def forked_map(fn, items, processes=None):
     """Yield ``fn(item)`` for each of the sequence ``items``, in order. With w =
-    ``fork_workers(len(items))`` > 1, forked child j computes items j, j + w, ... and
-    pipes each result, or its error, pickled; the parent computes the rest, one ahead
-    while a child works. A failed fork leaves its items to the parent; a missing
-    result raises ``ChildProcessError``. Closing the generator reaps the children."""
+    ``fork_workers(min(len(items), processes))`` > 1, forked child j computes items j,
+    j + w, ... and pipes each result, or its error, pickled; the parent computes the
+    rest, one ahead while a child works. A failed fork leaves its items to the parent; a
+    missing result raises ``ChildProcessError``. Closing the generator reaps the
+    children. Maps never nest: while one forks, another computes in process."""
     def outcomes(share, wrap=lambda outcome: outcome):
         for item in share:
             try:
@@ -74,7 +72,12 @@ def forked_map(fn, items):
             except Exception as exc:  # fn's error, or wrap's (a result pickle refuses)
                 yield wrap((False, exc))
 
-    workers, children, ahead = fork_workers(len(items)), {}, None
+    global _nested
+    if _nested:
+        yield from map(fn, items)
+        return
+    workers, children, ahead = fork_workers(min(len(items), processes or len(items))), {}, None
+    _nested = workers > 1
     try:
         for j in range(1, workers):
             read, write = os.pipe()
@@ -112,6 +115,7 @@ def forked_map(fn, items):
                 raise result
             yield result
     finally:
+        _nested = False
         for pid, pipe, _ in children.values():
             pipe.close()  # ends a child still sending
             os.waitpid(pid, 0)

@@ -23,14 +23,14 @@ regardless of scheduling order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from ._linalg import expit
 from .data import Column, Dataset, as_columns, constant_one
-from .errors import RieszregError, SchemaError, is_integer, require
+from .errors import RieszregError, SchemaError, is_integer, is_real, require
 from .estimands import EstimandSpec
 
 GH_NODES_DEFAULT = 64
@@ -46,6 +46,16 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
     """
     key = np.random.SeedSequence(int(seed), spawn_key=(int(index),))
     return np.random.Generator(np.random.Philox(key))
+
+
+def _require_finite(dgp) -> None:
+    """Refuse a DGP parameter that is not finite real numbers shaped as its default."""
+    for f in fields(dgp):
+        value = getattr(dgp, f.name)
+        entries = np.array(value, dtype=object)  # any nesting, each entry as given
+        require(entries.shape == np.shape(f.default)
+                and all(is_real(v) and math.isfinite(v) for v in entries.flat),
+                f"{f.name} must be finite and real, shaped as its default {f.default}", value)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +83,7 @@ class AppendixDgp:
     y_conf: float = -math.log(1.2)
 
     def __post_init__(self):
+        _require_finite(self)
         for label, p in (("p_confounder", self.p_confounder), ("p_treated", self.p_treated)):
             if not 0.0 < p < 1.0:
                 raise SchemaError(f"{label} must lie strictly in (0, 1), got {p}")
@@ -127,6 +138,7 @@ class DiscreteDgp:
         (0.2, 0.5), (0.5, 0.7))
 
     def __post_init__(self):
+        _require_finite(self)
         # JSON parameter files give lists; keep the instance hashable
         object.__setattr__(self, "propensity", tuple(self.propensity))
         object.__setattr__(self, "outcome_mean_table",
@@ -137,9 +149,6 @@ class DiscreteDgp:
                 "positivity violated: confounder and propensity probabilities "
                 f"must lie strictly in (0, 1), got {probs}")
         flat = [q for row in self.outcome_mean_table for q in row]
-        if len(self.propensity) != 2 or len(self.outcome_mean_table) != 2 \
-                or any(len(row) != 2 for row in self.outcome_mean_table):
-            raise SchemaError("propensity and outcome tables must cover the 2x2 support")
         if not all(0.0 <= q <= 1.0 for q in flat):
             raise SchemaError(f"outcome means must lie in [0, 1], got {flat}")
 

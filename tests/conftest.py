@@ -1,7 +1,35 @@
+import os
+
 import numpy as np
 import pytest
 
 from rieszreg import AppendixDgp, DiscreteDgp, simulate
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process behind, running or unreaped."""
+    yield
+    try:
+        found = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # this process has no child
+        return
+    pytest.fail(f"a child process is left behind (waitpid: {found})")
+
+
+def count_forks(monkeypatch) -> list:
+    """Patch ``os.fork`` to record the pid of each child this process forks;
+    returns the list."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -219,23 +218,47 @@ class TestBenchmark:
             err = capsys.readouterr().err
             assert says in err and "Traceback" not in err, err
 
-    def test_a_dead_worker_ends_with_exit_5(self, tmp_path, monkeypatch, capsys):
+    def _benchmark_with(self, tmp_path, monkeypatch, planted, threads: str) -> int:
+        """The exit code of a 2-replicate benchmark on ``threads`` processes that
+        writes no table, its data drawn by ``planted(seed)`` for replicate 1 and
+        by ``simulate`` else; with two threads, replicate 1 runs in the child."""
         bench = sys.modules["rieszreg.bench"]
-        draw, dying_seed = bench.simulate, bench.replicate_seed(5, 1)
-
-        def dying(dgp, n, seed):  # runs in a pool worker, as --threads 2 pools
-            if seed == dying_seed:
-                os._exit(9)
-            return draw(dgp, n, seed)
-
-        monkeypatch.setattr(bench, "simulate", dying)
+        draw, seed_1 = bench.simulate, bench.replicate_seed(5, 1)
+        monkeypatch.setattr(bench, "simulate", lambda dgp, n, seed: planted(seed)
+                            if seed == seed_1 else draw(dgp, n, seed))
+        monkeypatch.setattr(sys.modules["rieszreg.data"], "fork_workers",
+                            lambda parts: min(parts, 2))  # two usable cores on any host
         out = tmp_path / "t.csv"
-        assert run("benchmark", "--dgp", "discrete", "--spec", "ate", "--n", "400",
+        code = run("benchmark", "--dgp", "discrete", "--spec", "ate", "--n", "400",
                    "--replicates", "2", "--folds", "2", "--min-rows-per-fold", "30",
-                   "--seed", "5", "--threads", "2", "--out", str(out)) == 5
+                   "--seed", "5", "--threads", threads, "--out", str(out))
+        assert not out.exists()
+        return code
+
+    def test_a_dead_worker_ends_with_exit_5(self, tmp_path, monkeypatch, capsys):
+        parent = os.getpid()
+
+        def dying(seed):
+            if os.getpid() != parent:
+                os._exit(9)
+            raise AssertionError("replicate 1 ran in the parent")
+
+        capsys.readouterr()
+        assert self._benchmark_with(tmp_path, monkeypatch, dying, "2") == 5
         err = capsys.readouterr().err
-        assert err.startswith("error (io): a benchmark worker") and "Traceback" not in err
-        assert not out.exists() and multiprocessing.active_children() == []
+        assert err == "error (io): forked child ended before sending item 1\n"
+
+    def test_a_replicate_error_in_the_child_ends_as_serial(self, tmp_path, monkeypatch, capsys):
+        def failing(seed):
+            raise rieszreg.SingularGramError(f"planted on the seed {seed}")
+
+        ends = []
+        for threads in ("1", "2"):
+            capsys.readouterr()
+            code = self._benchmark_with(tmp_path, monkeypatch, failing, threads)
+            ends.append((code, capsys.readouterr().err))
+        assert ends[0] == ends[1]
+        assert ends[0][0] == 4 and ends[0][1].startswith("error (numerical): planted on the seed")
 
 
 class TestErrorCodes:
@@ -307,10 +330,10 @@ def _write_csv(tmp_path, body, rows=None):
     return path
 
 
-def _params(tmp_path, text):
+def _params(tmp_path, text, dgp="discrete"):
     path = tmp_path / "p.json"
     path.write_text(text)
-    return ["simulate", "--dgp", "discrete", "--dgp-params", str(path), "--n", "10",
+    return ["simulate", "--dgp", dgp, "--dgp-params", str(path), "--n", "10",
             "--seed", "1", "--out", str(tmp_path / "x.csv")]
 
 
@@ -418,6 +441,32 @@ BAD_INPUTS = [
     ("unknown dgp param", lambda t: _params(t, '{"nope": 1}'), {}, 3, "nope"),
     ("malformed dgp params", lambda t: _params(t, '{"p_confounder": '), {}, 3,
      "dgp-params"),
+    # each drew data, or ended in a traceback, before the DGPs checked their parameters
+    ("appendix text param", lambda t: _params(t, '{"y_treat": "x"}', "appendix"), {}, 3,
+     "y_treat must be finite and real"),
+    ("appendix null param", lambda t: _params(t, '{"m_intercept": null}', "appendix"), {}, 3,
+     "m_intercept must be finite and real"),
+    ("appendix list param", lambda t: _params(t, '{"y_treat": [1, 2]}', "appendix"), {}, 3,
+     "y_treat must be finite and real"),
+    ("appendix bool param", lambda t: _params(t, '{"y_treat": true}', "appendix"), {}, 3,
+     "y_treat must be finite and real"),
+    ("appendix nan param", lambda t: _params(t, '{"y_treat": NaN}', "appendix"), {}, 3,
+     "y_treat must be finite and real"),
+    ("appendix inf param", lambda t: _params(t, '{"m_sd": Infinity}', "appendix"), {}, 3,
+     "m_sd must be finite and real"),
+    ("appendix -inf param", lambda t: _params(t, '{"y_conf": -Infinity}', "appendix"), {}, 3,
+     "y_conf must be finite and real"),
+    ("discrete text param", lambda t: _params(t, '{"p_confounder": "0.5"}'), {}, 3,
+     "p_confounder must be finite and real"),
+    ("discrete nan param", lambda t: _params(t, '{"propensity": [0.5, NaN]}'), {}, 3,
+     "propensity must be finite and real"),
+    ("discrete bool param",
+     lambda t: _params(t, '{"outcome_mean_table": [[0.2, true], [0.5, 0.7]]}'), {}, 3,
+     "outcome_mean_table must be finite and real"),
+    ("discrete null param", lambda t: _params(t, '{"propensity": null}'), {}, 3,
+     "propensity must be finite and real"),
+    ("discrete ragged table", lambda t: _params(t, '{"outcome_mean_table": [[0.2], [0.5, 0.7]]}'),
+     {}, 3, "outcome_mean_table must be finite and real, shaped as its default"),
     ("level above one", lambda t: _estimate(t, "--level", "1.5"), {}, 2, "--level"),
     ("negative clip", lambda t: _estimate(t, "--clip", "-1"), {}, 2, "--clip"),
     ("negative ridge", lambda t: _estimate(t, "--ridge", "-1"), {}, 2, "--ridge"),
@@ -544,8 +593,8 @@ def _child_env() -> dict:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # rieszreg needs only numpy, and the process-pool machinery loads only
-    # when a benchmark runs on a pool; scipy alone would double the import
+    # rieszreg needs only numpy and forks with os.fork alone; scipy alone
+    # would double the import
     probe = ("import sys, rieszreg.cli, rieszreg.bench; print(rieszreg.__file__, *sorted("
              "m for m in sys.modules if m.partition('.')[0] in ('scipy', 'multiprocessing')"
              " or m.startswith('concurrent.futures')))")
@@ -555,9 +604,10 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 FORKED_RUN = """
-import os, sys, tempfile
+import contextlib, io, os, sys, tempfile
 from rieszreg import AppendixDgp, EstimatorSettings, MlpConfig, builtin_spec, data
 from rieszreg import one_step_estimate, simulate
+from rieszreg.cli import main
 
 data.fork_workers, data.CHUNK = (lambda parts: 2), 8
 forks = []
@@ -566,17 +616,25 @@ report = one_step_estimate(builtin_spec("nde"), simulate(AppendixDgp(), 300, 1),
                            EstimatorSettings(riesz_method="mlp", mlp=MlpConfig(epochs=5)), 3)
 with tempfile.TemporaryDirectory() as folder:
     data.write_json(os.path.join(folder, "r.json"), report.to_dict())
-print(len(forks), *sorted(m for m in sys.modules if m.partition(".")[0] == "multiprocessing"
-                          or m.startswith("concurrent.futures")))
+    print(len(forks))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["benchmark", "--dgp", "discrete", "--spec", "ate", "--n", "200",
+                     "--replicates", "2", "--folds", "2", "--min-rows-per-fold", "30",
+                     "--seed", "5", "--threads", "2", "--out", os.path.join(folder, "t.csv")])
+print(code, len(forks), *sorted(m for m in sys.modules if m.startswith("concurrent.futures")
+                                or m.partition(".")[0] == "multiprocessing"))
 """
 
 
-def test_forked_estimate_and_write_load_no_process_pool():
-    # the network folds and the writers fork through one generator of their own
+def test_forked_estimate_write_and_benchmark_load_no_process_pool():
+    # the network folds, the writers and the replicates fork through one generator
     done = subprocess.run([sys.executable, "-c", FORKED_RUN], env=_child_env(),
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["2"]  # one fork for the folds, one for the write
+    # one fork for the folds and one for the write; then one for the replicates,
+    # whose estimates map in process, and none for the meta file, which holds no
+    # number list
+    assert done.stdout.split() == ["2", "0", "3"]
 
 
 NO_SCIPY = """

@@ -1,7 +1,5 @@
 import json
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -34,11 +32,14 @@ from rieszreg import Basis, basis as basis_module, estimator, nuisance, riesz, s
 from rieszreg import bench, data as data_module, verify
 from rieszreg.bench import BenchTask, run_task
 from rieszreg.basis import FoldDesigns
+from rieszreg.data import forked_map
 from rieszreg.estimands import spec_from_document
 from rieszreg.estimator import _fold_order, _stage_values
 from rieszreg.mlp import MlpConfig
 from rieszreg.nuisance import fit_folds
 from rieszreg.riesz import constant_one_fit
+
+from conftest import count_forks
 
 EXACT = EstimatorSettings(riesz_basis="saturated", nuisance_basis="saturated",
                           ridge=0.0, outcome_family="least_squares",
@@ -609,15 +610,7 @@ def _report_json(spec, data, settings, folds, workers, monkeypatch):
     workers (1 = serial, in process)."""
     monkeypatch.setattr(data_module, "fork_workers", lambda folds: workers)
     report = one_step_estimate(spec, data, settings, folds=folds, seed=3)
-    assert multiprocessing.active_children() == []
     return json.dumps(report.to_dict())
-
-
-def _forks_during_estimate(args):
-    """(forks, report) of an estimate run in a process-pool worker."""
-    forks = []
-    os.register_at_fork(before=lambda: forks.append(1))
-    return len(forks), json.dumps(one_step_estimate(*args).to_dict())
 
 
 class TestForkedNetworkFolds:
@@ -663,7 +656,6 @@ class TestForkedNetworkFolds:
                 _report_json(builtin_spec("nde"), appendix_data, settings, 5, workers,
                              monkeypatch)
             raised.append((type(err.value), str(err.value)))
-            assert multiprocessing.active_children() == []
         assert raised[0] == raised[1]
 
     def test_the_lowest_folds_first_error_is_raised_as_serial(self, appendix_data, monkeypatch):
@@ -712,7 +704,6 @@ class TestForkedNetworkFolds:
                          "--mlp-epochs", "20", "--mlp-lr", lr, "--folds", "4", "--seed", "2",
                          "--out", str(out)]) == code
             outputs.append(out.read_bytes() if code == 0 else None)
-            assert multiprocessing.active_children() == []
         assert outputs[0] == outputs[1]
 
     def test_a_failed_fork_leaves_the_folds_serial(self, appendix_dgp, monkeypatch):
@@ -746,7 +737,6 @@ class TestForkedNetworkFolds:
                      "--out", str(tmp_path / "r.json")]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error (io): forked child ended") and "Traceback" not in err
-        assert multiprocessing.active_children() == []
 
     def test_one_fold_forks_nothing(self, appendix_dgp, monkeypatch):
         # forked_map computes a single item in process, so one fold needs no gate
@@ -758,13 +748,24 @@ class TestForkedNetworkFolds:
         assert forks == []
         assert forked == _report_json(*args, 1, monkeypatch)
 
-    def test_estimate_in_a_pool_worker_forks_nothing(self, appendix_dgp, monkeypatch):
+    def test_an_estimate_in_a_map_forks_nothing(self, appendix_dgp, monkeypatch):
+        """Maps never nest: a 3-fold estimate run as a forked map's item, in the
+        child or in the parent while the child runs, trains its folds in process;
+        once the outer map ends, an estimate forks again."""
         args = (builtin_spec("nde"), simulate(appendix_dgp, 300, 4),
-                EstimatorSettings(riesz_method="mlp", mlp=MlpConfig(epochs=10)), 3, 3)
-        with ProcessPoolExecutor(1) as pool:
-            forks, report = pool.submit(_forks_during_estimate, args).result(timeout=300)
-        assert forks == 0
-        assert report == _report_json(*args[:4], 1, monkeypatch)
+                EstimatorSettings(riesz_method="mlp", mlp=MlpConfig(epochs=10)), 3)
+        serial, parent = _report_json(*args, 1, monkeypatch), os.getpid()
+        monkeypatch.setattr(data_module, "fork_workers", lambda parts: min(parts, 2))
+        pids = count_forks(monkeypatch)
+
+        def estimate(item: int) -> tuple:
+            before = len(pids)
+            report = json.dumps(one_step_estimate(*args, seed=3).to_dict())
+            return len(pids) - before, os.getpid(), report  # counted once the estimate is done
+
+        done = list(forked_map(estimate, [0, 1]))
+        assert len(pids) == 1 and done == [(0, parent, serial), (0, pids[0], serial)]
+        assert estimate(2) == (1, parent, serial)
 
     def test_benchmark_replicates_equal_serial(self, appendix_dgp):
         task = BenchTask(appendix_dgp, builtin_spec("nde"), n=300, replicates=2, folds=3,
@@ -773,6 +774,25 @@ class TestForkedNetworkFolds:
         rows = [[{k: v for k, v in row.items() if k != "seconds"}
                  for row in run_task(task, threads=threads)] for threads in (1, 2)]
         assert rows[0] == rows[1]
+
+    def test_benchmark_forks_at_most_a_process_per_replicate_and_core(self, discrete_dgp,
+                                                                       monkeypatch):
+        task = BenchTask(discrete_dgp, builtin_spec("ate"), n=400, replicates=2, folds=2,
+                         seed=5, settings=EstimatorSettings(min_rows_per_fold=30))
+        pids = count_forks(monkeypatch)
+        serial = [row["estimate"] for row in run_task(task, threads=1)]
+        assert pids == []
+        assert [row["estimate"] for row in run_task(task, threads=8)] == serial
+        assert len(pids) <= min(2, len(os.sched_getaffinity(0))) - 1
+
+    def test_benchmark_threads_cap_the_processes(self, discrete_dgp, monkeypatch):
+        # eight usable cores, as the gate would grant them
+        monkeypatch.setattr(data_module, "fork_workers", lambda parts: min(parts, 8))
+        task = BenchTask(discrete_dgp, builtin_spec("ate"), n=400, replicates=5, folds=2,
+                         seed=5, settings=EstimatorSettings(min_rows_per_fold=30))
+        pids = count_forks(monkeypatch)
+        run_task(task, threads=3)
+        assert len(pids) == 2
 
 
 def _reference_cross_fit(spec, data, settings, folds, seed):

@@ -4,12 +4,10 @@ bytes whether a forked child formats every other part or not, a failing
 child makes the write raise, and no child outlives a write."""
 
 import json
-import multiprocessing
 import os
 import pickle
 import resource
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +16,8 @@ from hypothesis import strategies as st
 
 from rieszreg import data as data_module
 from rieszreg.data import Column, Dataset, fork_workers, forked_map, write_json
+
+from conftest import count_forks
 
 CHUNK = 8  # items or rows per part, so that small payloads span many parts
 LENGTHS = (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7)
@@ -48,27 +48,13 @@ WRITERS = {"json": lambda path: write_json(path, _payload()),
            "csv": lambda path: _dataset().to_csv(path)}
 
 
-def _count_forks(monkeypatch) -> list:
-    """Patch ``os.fork`` to record each child's pid; returns the list."""
-    pids, fork = [], os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
-
-
 @pytest.fixture
 def forked(monkeypatch):
     """Small parts and a switch: ``forked(True)`` lets a write fork its second
     process on any core count, ``forked(False)`` keeps it serial. Returns the
     list of the pids the writes forked."""
     monkeypatch.setattr(data_module, "CHUNK", CHUNK)
-    pids = _count_forks(monkeypatch)
+    pids = count_forks(monkeypatch)
 
     def switch(on: bool) -> list:
         workers = 2 if on else 1
@@ -80,7 +66,6 @@ def forked(monkeypatch):
 
 
 def _assert_reaped(pids):
-    assert multiprocessing.active_children() == []
     for pid in pids:  # reaped already, so not a child any more
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
@@ -171,7 +156,7 @@ def test_forked_map_equals_map(count, workers, raising):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data_module, "fork_workers", lambda parts: max(1, min(parts, workers)))
-        pids = _count_forks(patch)
+        pids = count_forks(patch)
         assert _outcome(forked_map(fn, range(count))) == _outcome(map(fn, range(count)))
     assert len(pids) == max(0, min(count, workers) - 1)
     _assert_reaped(pids)
@@ -220,20 +205,33 @@ def test_a_pipe_past_descriptor_1024_is_read(tmp_path, forked):
     _assert_reaped(pids)
 
 
-def _forks_during_write(path: str) -> int:
-    """The forks a write of many parts makes in a process-pool worker."""
-    data_module.CHUNK = CHUNK  # this worker's own module
-    forks = []
-    os.register_at_fork(before=lambda: forks.append(1))
-    write_json(path, _payload())
-    return len(forks)
+def test_a_write_in_a_map_forks_nothing(tmp_path, forked):
+    """Maps never nest: a write of many parts run as a forked map's item, in the
+    child or in the parent while the child runs, formats every part in process;
+    once the outer map ends, a write forks again."""
+    pids, parent = forked(True), os.getpid()
+
+    def write(item: int) -> tuple:
+        before = len(pids)
+        write_json(tmp_path / f"{item}.json", _payload())
+        return len(pids) - before, os.getpid()  # counted once the write is done
+
+    done = list(forked_map(write, [0, 1]))
+    assert len(pids) == 1 and done == [(0, parent), (0, pids[0])]
+    assert write(2) == (1, parent)
+    for item in range(3):
+        assert (tmp_path / f"{item}.json").read_bytes() == (
+            json.dumps(_payload(), indent=2) + "\n").encode()
+    _assert_reaped(pids)
 
 
-def test_write_in_a_pool_worker_forks_nothing(tmp_path):
-    path = tmp_path / "r.json"
-    with ProcessPoolExecutor(1) as pool:
-        assert pool.submit(_forks_during_write, str(path)).result(timeout=120) == 0
-    assert path.read_bytes() == (json.dumps(_payload(), indent=2) + "\n").encode()
+@pytest.mark.parametrize("processes,forks", [(None, 3), (1, 0), (2, 1), (9, 3)])
+def test_processes_caps_the_forks(monkeypatch, processes, forks):
+    monkeypatch.setattr(data_module, "fork_workers", lambda parts: min(parts, 4))
+    pids = count_forks(monkeypatch)
+    assert list(forked_map(lambda i: i * i, range(6), processes)) == [i * i for i in range(6)]
+    assert len(pids) == forks
+    _assert_reaped(pids)
 
 
 @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
@@ -245,3 +243,12 @@ def test_gate_is_serial_without_fork_or_affinity(monkeypatch, missing):
 def test_gate_is_serial_for_one_part():
     assert fork_workers(0) == fork_workers(1) == 1
     assert fork_workers(5) == min(5, len(os.sched_getaffinity(0)))
+
+
+def test_gate_grants_one_process_while_a_map_forks(forked):
+    # so a forked benchmark replicate trains its network folds as one group
+    pids = forked(True)
+    assert list(forked_map(lambda item: fork_workers(5), [0, 1])) == [1, 1]
+    assert len(pids) == 1
+    assert fork_workers(5) == min(5, len(os.sched_getaffinity(0)))
+    _assert_reaped(pids)
