@@ -17,7 +17,7 @@ from .data import forked_map
 from .errors import is_integer, require
 from .estimands import EstimandSpec, validate_binding
 from .estimator import EstimatorSettings, one_step_estimate
-from .simulate import oracle_value, simulate, truth_report
+from .simulate import oracle_value, simulate, spawn_seed, truth_report
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,7 @@ class BenchTask:
         validate_binding(self.spec, simulate(self.dgp, 1, 0))  # one row carries the schema
 
 
-def replicate_seed(task_seed: int, rep: int) -> int:
-    """Deterministic per-replicate seed, independent of execution order."""
-    return int(np.random.SeedSequence(task_seed, spawn_key=(rep,)).generate_state(1)[0])
+replicate_seed = spawn_seed  # a replicate's seed, independent of execution order
 
 
 def run_replicate(task: BenchTask, rep: int) -> dict:

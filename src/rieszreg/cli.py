@@ -116,24 +116,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_method_flags(cmd) -> None:
-    cmd.add_argument("--method", choices=METHODS, default="sieve")
-    cmd.add_argument("--basis", choices=BASIS_POLICIES, default="default",
+    est, net = EstimatorSettings(), MlpConfig()  # each flag defaults to its settings field
+    cmd.add_argument("--method", choices=METHODS, default=est.riesz_method)
+    cmd.add_argument("--basis", choices=BASIS_POLICIES, default=est.riesz_basis,
                      help="Riesz sieve basis policy")
-    cmd.add_argument("--nuisance-basis", choices=BASIS_POLICIES, default="default")
-    cmd.add_argument("--degree", type=_positive_int, default=2)
-    cmd.add_argument("--ridge", type=_nonnegative_float, default=None,
+    cmd.add_argument("--nuisance-basis", choices=BASIS_POLICIES, default=est.nuisance_basis)
+    cmd.add_argument("--degree", type=_positive_int, default=est.degree)
+    cmd.add_argument("--ridge", type=_nonnegative_float, default=est.ridge,
                      help="ridge penalty (default: scale-aware; 0 = exact)")
-    cmd.add_argument("--outcome-family", choices=OUTCOME_FAMILIES,
-                     default=None, help="innermost-stage family (default: by outcome type)")
-    cmd.add_argument("--clip", type=_positive_float, default=None,
+    cmd.add_argument("--outcome-family", choices=OUTCOME_FAMILIES, default=est.outcome_family,
+                     help="innermost-stage family (default: by outcome type)")
+    cmd.add_argument("--clip", type=_positive_float, default=est.clip,
                      help="clip fitted |weights| at this bound")
-    cmd.add_argument("--min-rows-per-fold", type=_positive_int, default=50)
-    cmd.add_argument("--level", type=_unit_interval, default=0.95)
-    cmd.add_argument("--mlp-epochs", type=_nonnegative_int, default=500)
-    cmd.add_argument("--mlp-width", type=_positive_int, default=4)
-    cmd.add_argument("--mlp-layers", type=_positive_int, default=2)
-    cmd.add_argument("--mlp-lr", type=_positive_float, default=1e-2)
-    cmd.add_argument("--mlp-batch", type=_positive_int, default=None)
+    cmd.add_argument("--min-rows-per-fold", type=_positive_int, default=est.min_rows_per_fold)
+    cmd.add_argument("--level", type=_unit_interval, default=est.level)
+    cmd.add_argument("--mlp-epochs", type=_nonnegative_int, default=net.epochs)
+    cmd.add_argument("--mlp-width", type=_positive_int, default=net.width)
+    cmd.add_argument("--mlp-layers", type=_positive_int, default=net.hidden_layers)
+    cmd.add_argument("--mlp-lr", type=_positive_float, default=net.learning_rate)
+    cmd.add_argument("--mlp-batch", type=_positive_int, default=net.batch_size)
 
 
 def _checked(convert, accept, wanted: str):
@@ -181,7 +182,7 @@ def _make_dgp(name: str, params_path: str | None):
             with open(params_path, encoding="utf-8") as fh:
                 overrides = json.load(fh)
         return DGPS[name](**overrides)
-    except (TypeError, ValueError) as exc:  # malformed JSON is a ValueError too
+    except (TypeError, ValueError, RecursionError) as exc:  # bad or deep JSON too
         raise SchemaError(f"bad --dgp-params for the {name} DGP: {exc}") from None
 
 
@@ -200,16 +201,13 @@ def _resolve_spec(value: str):
 
 
 def _settings_from(args: argparse.Namespace) -> EstimatorSettings:
-    mlp = None
-    if args.method == "mlp":
-        mlp = MlpConfig(hidden_layers=args.mlp_layers, width=args.mlp_width,
-                        learning_rate=args.mlp_lr, epochs=args.mlp_epochs,
-                        batch_size=args.mlp_batch, seed=args.seed)
+    mlp = MlpConfig(hidden_layers=args.mlp_layers, width=args.mlp_width, learning_rate=args.mlp_lr,
+                    epochs=args.mlp_epochs, batch_size=args.mlp_batch, seed=args.seed)
     return EstimatorSettings(
         riesz_method=args.method, riesz_basis=args.basis,
         nuisance_basis=args.nuisance_basis, degree=args.degree, ridge=args.ridge,
-        outcome_family=args.outcome_family, mlp=mlp, clip=args.clip,
-        min_rows_per_fold=args.min_rows_per_fold, level=args.level)
+        outcome_family=args.outcome_family, mlp=mlp if args.method == "mlp" else None,
+        clip=args.clip, min_rows_per_fold=args.min_rows_per_fold, level=args.level)
 
 
 # ---------------------------------------------------------------------------

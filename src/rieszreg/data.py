@@ -304,7 +304,7 @@ class Dataset:
             try:
                 meta = json.load(fh)
                 schema = tuple(Column.from_dict(d) for d in meta["columns"])
-            except (ValueError, KeyError, TypeError) as exc:  # JSON errors are ValueErrors
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:  # bad or deep JSON
                 raise SchemaError(f"schema sidecar {sidecar} is malformed "
                                   f"({type(exc).__name__}: {exc})") from None
         expected = [c.name for c in schema]

@@ -132,6 +132,8 @@ def parse_spec(text: str) -> EstimandSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise SpecSyntaxError("document nests too deeply to parse") from None
     return spec_from_document(doc)
 
 

@@ -66,6 +66,8 @@ class EstimatorSettings:
     def __post_init__(self):
         if self.riesz_method == "mlp" and self.mlp is None:  # the report names what trains
             object.__setattr__(self, "mlp", MlpConfig())
+        require(self.mlp is None or self.riesz_method == "mlp",  # and only what trains
+                "mlp settings need riesz_method 'mlp'", self.mlp)
         for name, names in (("riesz_method", METHODS), ("riesz_basis", BASIS_POLICIES),
                             ("nuisance_basis", BASIS_POLICIES),
                             ("outcome_family", (None, *OUTCOME_FAMILIES))):
@@ -354,6 +356,8 @@ def _fold_order(spec: EstimandSpec, data: Dataset, folds: int, seed: int,
     """The rows sorted by fold, in their original order within each fold,
     and the offsets of the fold blocks in that order."""
     n = data.n
+    if n < 2:
+        raise DegenerateFoldError(f"a standard error needs at least 2 rows, got {n}")
     if n // folds < min_rows:
         raise DegenerateFoldError(
             f"{folds} folds over {n} rows leaves fewer than {min_rows} rows per fold; "

@@ -21,15 +21,14 @@ import numpy as np
 
 from .errors import is_integer, is_real, require
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+
 
 @dataclass(frozen=True)
 class MlpConfig:
     hidden_layers: int = 2
     width: int = 4
     learning_rate: float = 1e-2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 500
     batch_size: int | None = None  # None trains full-batch
     seed: int = 0
@@ -40,12 +39,8 @@ class MlpConfig:
             require(is_integer(num) and num >= low, f"{name} must be an integer >= {low}", num)
         require(self.batch_size is None or is_integer(self.batch_size) and self.batch_size >= 1,
                 "batch_size must be None or an integer >= 1", self.batch_size)
-        for name in ("beta1", "beta2"):
-            num = getattr(self, name)
-            require(is_real(num) and 0 <= num < 1, f"{name} must lie in [0, 1)", num)
-        for name in ("learning_rate", "adam_eps"):
-            num = getattr(self, name)
-            require(is_real(num) and 0 < num < np.inf, f"{name} must be finite and positive", num)
+        require(is_real(self.learning_rate) and 0 < self.learning_rate < np.inf,
+                "learning_rate must be finite and positive", self.learning_rate)
 
 
 def init_params(n_inputs: int, config: MlpConfig, rng: np.random.Generator):
@@ -133,14 +128,13 @@ class AdamState:
         """Update ``flat`` in place by one Adam step on ``grad``, allocating no
         array: lr_t * m / (sqrt(v) + eps), in that order."""
         self.t += 1
-        b1, b2 = config.beta1, config.beta2
-        lr_t = config.learning_rate * np.sqrt(1 - b2 ** self.t) / (1 - b1 ** self.t)
-        self.m *= b1
-        self.m += np.multiply(grad, 1 - b1, out=self.num)
-        self.v *= b2
-        self.v += np.multiply(np.square(grad, out=self.den), 1 - b2, out=self.den)
+        lr_t = config.learning_rate * np.sqrt(1 - BETA2 ** self.t) / (1 - BETA1 ** self.t)
+        self.m *= BETA1
+        self.m += np.multiply(grad, 1 - BETA1, out=self.num)
+        self.v *= BETA2
+        self.v += np.multiply(np.square(grad, out=self.den), 1 - BETA2, out=self.den)
         np.multiply(self.m, lr_t, out=self.num)
-        self.num /= np.add(np.sqrt(self.v, out=self.den), config.adam_eps, out=self.den)
+        self.num /= np.add(np.sqrt(self.v, out=self.den), ADAM_EPS, out=self.den)
         flat -= self.num
 
 
@@ -152,9 +146,9 @@ def unflatten(flat: np.ndarray, template):
     return [(block[:-1].copy(), block[-1].copy()) for block in views(flat, template)]
 
 
-def numeric_gradient(loss_fn, flat: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def numeric_gradient(loss_fn, flat: np.ndarray) -> np.ndarray:
     """Central finite differences of a scalar loss of the flat parameters."""
-    grad = np.empty_like(flat)
+    grad, step = np.empty_like(flat), 1e-5
     for j in range(flat.size):
         bumped = flat.copy()
         bumped[j] += step

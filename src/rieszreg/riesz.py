@@ -29,7 +29,7 @@ from .data import Dataset, as_columns
 from .errors import SchemaError, TrainingDivergedError, require
 from .estimands import EstimandSpec, FunctionalMap, apply_map, term_columns
 from .mlp import MlpConfig
-from .simulate import substream
+from .simulate import spawn_seed, substream
 
 
 def riesz_loss(fn, fmap: FunctionalMap, data, weights=None) -> float:
@@ -169,12 +169,11 @@ def representation_residuals(fit: SieveRieszFit, fmap: FunctionalMap, data,
 # MLP fitting
 # ---------------------------------------------------------------------------
 
-def fit_mlp(fmap: FunctionalMap, data, config: MlpConfig, weights=None,
-            columns=None) -> MlpRieszFit:
+def fit_mlp(fmap: FunctionalMap, data, config: MlpConfig, weights=None, *,
+            columns) -> MlpRieszFit:
     """Minimize the same empirical loss by Adam on backpropagated gradients
-    (``fit_mlps`` of one problem, raising its error). ``columns`` fixes the
-    network's input order (defaults to the map's free variables followed by
-    its assigned variables). Training is deterministic given config.seed; the
+    (``fit_mlps`` of one problem, raising its error). ``columns`` names the
+    network's inputs, in order. Training is deterministic given config.seed; the
     returned fit carries the full loss curve, the loss at the start of each
     epoch and then the final loss, with the final entry never above the
     initial one for epochs > 0 monitored by the divergence guard.
@@ -229,9 +228,6 @@ def _mlp_problem(fmap: FunctionalMap, data, weights, columns,
     padded with q = lin = 0 to a multiple of 64."""
     cols, n = as_columns(data)
     weights = _check_weights(weights, n)
-    if columns is None:
-        assigned = [v for v in sorted(fmap.assigned_vars()) if v not in fmap.free_vars]
-        columns = tuple(fmap.free_vars) + tuple(assigned)
     columns = tuple(columns)
     for c in columns:
         require(c in cols, "network inputs must be columns of the data", c)
@@ -306,8 +302,8 @@ def _mlp_gradient(out, q, lin, loss, spare):
     return grad
 
 
-def mlp_loss_gradients(fmap: FunctionalMap, data, config: MlpConfig, weights=None,
-                       columns=None, step: float = 1e-5):
+def mlp_loss_gradients(fmap: FunctionalMap, data, config: MlpConfig, weights=None, *,
+                       columns):
     """Analytic vs central-finite-difference loss gradients at the seeded
     initialization; returns (analytic, numeric) flat arrays. The analytic
     gradient is the one full-batch training steps on."""
@@ -324,7 +320,7 @@ def mlp_loss_gradients(fmap: FunctionalMap, data, config: MlpConfig, weights=Non
         return mlp_net.backward(blocks, activations, grad, work)[0] if analytic else loss[0] / 2
 
     flat = mlp_net.flatten(params)
-    return gradient(flat, analytic=True), mlp_net.numeric_gradient(gradient, flat, step=step)
+    return gradient(flat, analytic=True), mlp_net.numeric_gradient(gradient, flat)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +332,7 @@ METHODS = ("sieve", "mlp")
 
 def fit_sequential(spec: EstimandSpec, data, method: str = "sieve",
                    basis_policy: str = "default", degree: int = 2,
-                   ridge: float | None = None, mlp_config: MlpConfig | None = None) -> list:
+                   ridge: float | None = None, mlp_config: MlpConfig = MlpConfig()) -> list:
     """Fit one representer per stage, outermost first (``fit_chains`` of one
     chain, raising its error). Stage k's loss weights are the fitted stage
     k-1 weight (ones at k=1); a marginal outermost stage takes
@@ -354,8 +350,8 @@ def fit_sequential(spec: EstimandSpec, data, method: str = "sieve",
     return fits
 
 
-def fit_chains(chains, method: str = "sieve", basis_policy: str = "default", degree: int = 2,
-               ridge: float | None = None, mlp_config: MlpConfig | None = None) -> list:
+def fit_chains(chains, method: str, basis_policy: str, degree: int, ridge: float | None,
+               mlp_config: MlpConfig | None) -> list:
     """Each (spec, data) chain's fits as ``fit_sequential`` makes them, level
     by level, a level's networks in one ``fit_mlps`` call. Per-fold errors:
     the chains on one data object are a fold, whose error is its value: its
@@ -365,7 +361,6 @@ def fit_chains(chains, method: str = "sieve", basis_policy: str = "default", deg
         raise SchemaError("instantiate contrast specs before fitting representers")
     if method not in METHODS:
         raise SchemaError(f"unknown Riesz method {method!r}; expected {METHODS}")
-    mlp_config = MlpConfig() if method == "mlp" and mlp_config is None else mlp_config
     designs = [as_designs(data) for _, data in chains]  # a fold's chains share its rows
     rows = {id(view): view.training_set() for view in dict.fromkeys(designs) if method == "mlp"}
     fits, errors = [[] for _ in chains], {}  # errors by fold
@@ -390,9 +385,9 @@ def fit_chains(chains, method: str = "sieve", basis_policy: str = "default", deg
                 except Exception as exc:  # the fold's error is its value
                     designs[i].fits[keys[i]] = exc
         if nets:
-            seed = int(np.random.SeedSequence(mlp_config.seed, spawn_key=(k,)).generate_state(1)[0])
             made = fit_mlps([(stages[i].fmap, rows[id(designs[i])], weights[i], stages[i].given)
-                             for i in nets.values()], replace(mlp_config, seed=seed))
+                             for i in nets.values()],
+                            replace(mlp_config, seed=spawn_seed(mlp_config.seed, k)))
             for i, fit in zip(nets.values(), made):
                 designs[i].fits[keys[i]] = fit
         for i in stages:  # in (level, chain) order

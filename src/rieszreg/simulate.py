@@ -16,8 +16,8 @@ Riesz fit, so its residuals are orthogonal to a shared basis by construction.)
 
 Reproducibility: all sampling uses the Philox counter-based generator, with
 independent substreams derived via SeedSequence spawn keys
-(``substream(seed, index)``), so parallel replicates are identical
-regardless of scheduling order.
+(``substream(seed, index)``, and ``spawn_seed`` for an integer child seed),
+so parallel replicates are identical regardless of scheduling order.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .data import Column, Dataset, as_columns, constant_one
 from .errors import RieszregError, SchemaError, is_integer, is_real, require
 from .estimands import EstimandSpec
 
-GH_NODES_DEFAULT = 64
+GH_NODES = 64
 QUADRATURE_DOUBLING_TOL = 1e-9
 
 
@@ -44,8 +44,16 @@ def substream(seed: int, index: int = 0) -> np.random.Generator:
     seed can drive several consumers without sharing a bit stream: index 0
     is used for data sampling and index 1 for cross-fitting fold assignment.
     """
-    key = np.random.SeedSequence(int(seed), spawn_key=(int(index),))
-    return np.random.Generator(np.random.Philox(key))
+    return np.random.Generator(np.random.Philox(_spawn(seed, index)))
+
+
+def spawn_seed(seed: int, index: int) -> int:
+    """Child ``index``'s integer seed, independent of the order children are made in."""
+    return int(_spawn(seed, index).generate_state(1)[0])
+
+
+def _spawn(seed: int, index: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(int(seed), spawn_key=(int(index),))
 
 
 def _require_finite(dgp) -> None:
@@ -297,13 +305,13 @@ def _stage_regressions(spec: EstimandSpec, dgp, nodes: int):
     return theta, regressions
 
 
-def truth_oracle(spec: EstimandSpec, dgp, nodes: int = GH_NODES_DEFAULT) -> float:
+def truth_oracle(spec: EstimandSpec, dgp) -> float:
     """Ground-truth estimand value under the DGP law: ``truth_report``'s
     value, checked by ``oracle_value``.
 
     Contrast specs return the difference of the two instantiated arms.
     """
-    return oracle_value(truth_report(spec, dgp, nodes))
+    return oracle_value(truth_report(spec, dgp))
 
 
 def oracle_value(report: dict) -> float:
@@ -326,23 +334,23 @@ def _truth_value(spec: EstimandSpec, dgp, nodes: int) -> float:
     return _stage_regressions(spec, dgp, nodes)[0]
 
 
-def truth_report(spec: EstimandSpec, dgp, nodes: int = GH_NODES_DEFAULT) -> dict:
+def truth_report(spec: EstimandSpec, dgp) -> dict:
     """Oracle value plus quadrature diagnostics, for the exported report."""
-    theta = _truth_value(spec, dgp, nodes)
-    refined = _truth_value(spec, dgp, 2 * nodes) if dgp.has_mediator else theta
+    theta = _truth_value(spec, dgp, GH_NODES)
+    refined = _truth_value(spec, dgp, 2 * GH_NODES) if dgp.has_mediator else theta
     return {
         "spec": spec.name,
         "dgp": dgp.label,
         "theta": theta,
         "quadrature": {
-            "nodes": nodes if dgp.has_mediator else 0,
+            "nodes": GH_NODES if dgp.has_mediator else 0,
             "doubling_gap": abs(refined - theta),
             "tolerance": QUADRATURE_DOUBLING_TOL,
         },
     }
 
 
-def true_nuisance(spec: EstimandSpec, dgp, k: int, nodes: int = GH_NODES_DEFAULT):
+def true_nuisance(spec: EstimandSpec, dgp, k: int):
     """True stage-k regression as a vectorized callable over columns."""
     stage = spec.stage(k)
     if "M" in stage.given:
@@ -350,7 +358,7 @@ def true_nuisance(spec: EstimandSpec, dgp, k: int, nodes: int = GH_NODES_DEFAULT
             raise SchemaError(
                 "mediator-conditioned stages must condition on all outcome parents")
         return dgp.outcome_mean
-    _, regressions = _stage_regressions(spec, dgp, nodes)
+    _, regressions = _stage_regressions(spec, dgp, GH_NODES)
     q_scalar = regressions[k - 1]
     given = stage.given
 

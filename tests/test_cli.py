@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import rieszreg
 from rieszreg import Column, Dataset
-from rieszreg.cli import main
+from rieszreg.cli import _build_parser, _settings_from, main
 from rieszreg.estimands import builtin_spec, format_spec, parse_spec
 
 
@@ -428,6 +428,25 @@ def _undecodable_spec(tmp_path):
     return _estimate(tmp_path, "--spec", str(path))
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # nested past the interpreter's recursion limit
+
+
+def _deep_spec(tmp_path):
+    (tmp_path / "deep.json").write_text(DEEP)
+    return _estimate(tmp_path, "--spec", str(tmp_path / "deep.json"))
+
+
+def _one_row(tmp_path):
+    # a one-row sample and an estimand it binds to, with no level for a fold to miss
+    assert run("simulate", "--dgp", "appendix", "--n", "1", "--seed", "1",
+               "--out", str(tmp_path / "a1.csv")) == 0
+    (tmp_path / "doc.json").write_text(json.dumps({"name": "m_half", "stages": [
+        {"regress": "Y", "given": ["M"], "map": [{"coef": 1.0, "set": {"M": 0.5}}]}]}))
+    return ["estimate", "--data", str(tmp_path / "a1.csv"), "--spec", str(tmp_path / "doc.json"),
+            "--folds", "1", "--min-rows-per-fold", "1", "--seed", "1",
+            "--out", str(tmp_path / "r.json")]
+
+
 def _benchmark(tmp_path, *flags):
     return ["benchmark", "--spec", "ate", "--replicates", "1", "--seed", "1",
             "--out", str(tmp_path / "t.csv"), *flags]
@@ -441,6 +460,11 @@ BAD_INPUTS = [
     ("unknown dgp param", lambda t: _params(t, '{"nope": 1}'), {}, 3, "nope"),
     ("malformed dgp params", lambda t: _params(t, '{"p_confounder": '), {}, 3,
      "dgp-params"),
+    # each nested JSON ended in a RecursionError traceback, and one row in a NaN standard error
+    ("deep dgp params", lambda t: _params(t, DEEP), {}, 3, "bad --dgp-params"),
+    ("deep document", _deep_spec, {}, 3, "nests too deeply"),
+    ("deep sidecar", lambda t: _sidecar(t, DEEP), {}, 3, "bad.csv.schema.json is malformed"),
+    ("one-row estimate", _one_row, {}, 4, "at least 2 rows"),
     # each drew data, or ended in a traceback, before the DGPs checked their parameters
     ("appendix text param", lambda t: _params(t, '{"y_treat": "x"}', "appendix"), {}, 3,
      "y_treat must be finite and real"),
@@ -533,6 +557,16 @@ def _tiny_estimate(folder: Path) -> list:
     return ["estimate", "--data", str(folder / "d.csv"), "--spec", str(folder / "ate.json"),
             "--folds", "2", "--min-rows-per-fold", "10", "--seed", "1",
             "--out", str(folder / "r.json")]
+
+
+@pytest.mark.parametrize("command", [["estimate", "--data", "d.csv"], ["benchmark"]],
+                         ids=["estimate", "benchmark"])
+def test_flag_defaults_are_the_settings_defaults(command):
+    argv = [*command, "--spec", "ate", "--seed", "7", "--out", "o"]
+    parse = _build_parser().parse_args
+    assert _settings_from(parse(argv)) == rieszreg.EstimatorSettings()
+    assert _settings_from(parse([*argv, "--method", "mlp"])) == rieszreg.EstimatorSettings(
+        riesz_method="mlp", mlp=rieszreg.MlpConfig(seed=7))
 
 
 def test_tiny_estimate_inputs_are_valid(tmp_path):

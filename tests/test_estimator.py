@@ -270,11 +270,16 @@ class TestReportInvariants:
         mlp = one_step_estimate(builtin_spec("ate"), discrete_data, network, folds=2,
                                 seed=3).to_dict()["provenance"]["settings"]
         assert list(mlp) == settings
-        assert list(mlp["mlp"]) == ["hidden_layers", "width", "learning_rate", "beta1",
-                                    "beta2", "adam_eps", "epochs", "batch_size", "seed"]
+        assert list(mlp["mlp"]) == ["hidden_layers", "width", "learning_rate", "epochs",
+                                    "batch_size", "seed"]
         single = one_step_estimate(builtin_spec("ate"), discrete_data, folds=2,
                                    seed=3).to_dict()
         assert list(single) == arm and single["contrast"] is None
+
+    def test_network_settings_for_a_sieve_are_refused(self):
+        # a sieve estimate's report would name a network it never trained
+        with pytest.raises(SchemaError, match="riesz_method 'mlp'"):
+            EstimatorSettings(mlp=MlpConfig(epochs=3))
 
     def test_report_names_the_default_network(self, discrete_data):
         # with no network settings the estimate trains MlpConfig(), and says so
@@ -302,6 +307,14 @@ class TestFolding:
         assert one.theta_hat == two.theta_hat
         sizes = [f["n_eval"] for f in one.per_fold]
         assert max(sizes) - min(sizes) <= 1
+
+    def test_one_row_is_refused(self, appendix_dgp):
+        # the standard error needs two rows; one row gave a NaN one
+        doc = {"name": "m_half", "stages": [
+            {"regress": "Y", "given": ["M"], "map": [{"coef": 1.0, "set": {"M": 0.5}}]}]}
+        with pytest.raises(DegenerateFoldError, match="at least 2 rows"):
+            one_step_estimate(spec_from_document(doc), simulate(appendix_dgp, 1, 3),
+                              EstimatorSettings(min_rows_per_fold=1), folds=1, seed=0)
 
     def test_fold_too_small(self, discrete_data):
         with pytest.raises(DegenerateFoldError, match="fewer than"):

@@ -55,12 +55,9 @@ class TestNetwork:
     # unchecked, each would end in a misleading TrainingDivergedError, a bare
     # TypeError, or silent training
     @pytest.mark.parametrize("setting", [
-        {"beta1": 1.0}, {"beta1": -0.5}, {"beta2": 1.5}, {"adam_eps": 0.0},
-        {"adam_eps": -1e-8}, {"adam_eps": float("inf")}, {"learning_rate": float("nan")},
-        {"learning_rate": float("inf")}, {"width": 2.5}, {"epochs": 2.5},
-        {"batch_size": 2.5}, {"hidden_layers": True}, {"seed": 2.5},
-        {"learning_rate": True}, {"adam_eps": True}, {"beta1": False}, {"beta2": "0.9"},
-        {"seed": -1}, {"batch_size": True},
+        {"learning_rate": float("nan")}, {"learning_rate": float("inf")}, {"width": 2.5},
+        {"epochs": 2.5}, {"batch_size": 2.5}, {"hidden_layers": True}, {"seed": 2.5},
+        {"learning_rate": True}, {"seed": -1}, {"batch_size": True},
     ], ids=repr)
     def test_corrupting_settings_refused(self, setting):
         with pytest.raises(SchemaError):
@@ -255,14 +252,14 @@ def _reference_backward(params, cache, grad_out):
 
 def _reference_adam_step(params, grads, state, config):
     state["t"] += 1
-    b1, b2, t = config.beta1, config.beta2, state["t"]
+    b1, b2, t = 0.9, 0.999, state["t"]  # not read from mlp: the reference stays independent
     lr_t = config.learning_rate * np.sqrt(1 - b2 ** t) / (1 - b1 ** t)
     new_params = []
     for i, (p, g) in enumerate(zip(params, grads)):
         state["m"][i] = [b1 * m + (1 - b1) * gi for m, gi in zip(state["m"][i], g)]
         state["v"][i] = [b2 * v + (1 - b2) * gi ** 2 for v, gi in zip(state["v"][i], g)]
         new_params.append(tuple(
-            pi - lr_t * m / (np.sqrt(v) + config.adam_eps)
+            pi - lr_t * m / (np.sqrt(v) + 1e-8)
             for pi, m, v in zip(p, state["m"][i], state["v"][i])))
     return new_params
 

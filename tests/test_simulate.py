@@ -18,6 +18,7 @@ from rieszreg import (
     truth_oracle,
     truth_report,
 )
+from rieszreg.bench import replicate_seed
 from rieszreg.simulate import oracle_value
 from conftest import mc_se
 
@@ -53,6 +54,14 @@ class TestSampling:
         # the Bernoulli draws compare uniforms with expit probabilities, so a
         # change of the link's rounding that flips any draw changes the digest
         assert simulate(dgp(), n, seed).sha256() == digest
+
+    @pytest.mark.parametrize("seed,rep,want", [
+        (0, 0, 3757552657), (1, 1, 1454127163), (5, 4, 3860361780), (707, 99, 1593221287),
+        (2 ** 40, 0, 2955948258)])
+    def test_replicate_seeds_are_pinned(self, seed, rep, want):
+        # benchmark workloads seed their replicates through replicate_seed
+        rule = np.random.SeedSequence(seed, spawn_key=(rep,)).generate_state(1)[0]
+        assert replicate_seed(seed, rep) == want == rule
 
     def test_substreams_differ_and_reproduce(self):
         a = substream(9, 0).random(4)
