@@ -29,7 +29,7 @@ from .bench import BenchTask, benchmark_csv, run_benchmark
 from .data import Dataset, write_json
 from .errors import RieszregError, SchemaError
 from .estimands import BUILTIN_NAMES, builtin_spec, parse_spec
-from .estimator import EstimatorSettings, one_step_estimate
+from .estimator import DEFAULT_FOLDS, EstimatorSettings, one_step_estimate
 from .mlp import MlpConfig
 from .nuisance import OUTCOME_FAMILIES
 from .riesz import METHODS
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--schema", help="schema sidecar (default: <data>.schema.json)")
     est.add_argument("--spec", required=True,
                      help=f"built-in name ({', '.join(BUILTIN_NAMES)}) or a document path")
-    est.add_argument("--folds", type=_positive_int, default=5)
+    est.add_argument("--folds", type=_positive_int, default=DEFAULT_FOLDS)
     est.add_argument("--seed", type=_nonnegative_int, required=True)
     est.add_argument("--out", required=True)
     _add_method_flags(est)
@@ -103,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--n", type=_positive_int_list, default="1000",
                      help="comma list of sample sizes")
     ben.add_argument("--replicates", type=_positive_int, default=100)
-    ben.add_argument("--folds", type=_positive_int, default=5)
+    ben.add_argument("--folds", type=_positive_int, default=DEFAULT_FOLDS)
     ben.add_argument("--seed", type=_nonnegative_int, required=True)
     # a string default goes through the type check, so a bad variable is a usage error
     ben.add_argument("--threads", type=_positive_int, metavar="N",
@@ -130,7 +130,9 @@ def _add_method_flags(cmd) -> None:
                      help="clip fitted |weights| at this bound")
     cmd.add_argument("--min-rows-per-fold", type=_positive_int, default=est.min_rows_per_fold)
     cmd.add_argument("--level", type=_unit_interval, default=est.level)
-    cmd.add_argument("--mlp-epochs", type=_nonnegative_int, default=net.epochs)
+    cmd.add_argument("--mlp-epochs", type=_nonnegative_int, default=net.epochs, metavar="N",
+                     help="train each network at most N epochs; it stops earlier once "
+                          "its loss has converged")
     cmd.add_argument("--mlp-width", type=_positive_int, default=net.width)
     cmd.add_argument("--mlp-layers", type=_positive_int, default=net.hidden_layers)
     cmd.add_argument("--mlp-lr", type=_positive_float, default=net.learning_rate)

@@ -47,6 +47,8 @@ from .nuisance import OUTCOME_FAMILIES, fit_folds
 from .riesz import METHODS, SieveRieszFit, fit_chains
 from .simulate import substream
 
+DEFAULT_FOLDS = 5  # one_step_estimate's and the CLI's fold count
+
 
 @dataclass(frozen=True)
 class EstimatorSettings:
@@ -223,7 +225,7 @@ def _require_finite(values: np.ndarray, k: int) -> None:
 
 def one_step_estimate(spec: EstimandSpec, data: Dataset,
                       settings: EstimatorSettings | None = None,
-                      folds: int = 5, seed: int = 0) -> EstimateReport:
+                      folds: int = DEFAULT_FOLDS, seed: int = 0) -> EstimateReport:
     """Cross-fit one-step estimate with influence-function inference.
 
     With folds >= 2, all weights and regressions are fit on out-of-fold rows

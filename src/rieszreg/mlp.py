@@ -10,11 +10,14 @@ array, each layer a (J, fan_in + 1, fan_out) block, weights over bias row
 (``views``), every activation a (J, units + 1, rows) slab over a ones row. A
 layer is one stacked matmul forward and one for its weight and bias
 gradients, each network's slab computed alone, so a network gets the same
-bits in any batch. Gradients can be audited via ``numeric_gradient``.
+bits in any batch. A workspace's or Adam state's ``lead`` views its first
+rows, so the networks still training can run on without the ones that
+stopped. Gradients can be audited via ``numeric_gradient``.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +25,9 @@ import numpy as np
 from .errors import is_integer, is_real, require
 
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+# a network stops once its loss has not fallen by STOP_TOL * |best loss| for
+# STOP_PATIENCE epochs (see riesz._train)
+STOP_TOL, STOP_PATIENCE = 1e-5, 20
 
 
 @dataclass(frozen=True)
@@ -29,7 +35,7 @@ class MlpConfig:
     hidden_layers: int = 2
     width: int = 4
     learning_rate: float = 1e-2
-    epochs: int = 500
+    epochs: int = 500  # the cap: a network stops earlier once its loss has converged
     batch_size: int | None = None  # None trains full-batch
     seed: int = 0
 
@@ -116,6 +122,14 @@ class Workspace:
             activations.append(buffer)
         return np.matmul(blocks[-1].mT, activations[-1], out=self.layers[-1])[:, 0], activations
 
+    def lead(self, networks: int) -> Workspace:
+        """This workspace's first ``networks`` slabs, sharing its buffers."""
+        lead = copy(self)
+        lead.mask, lead.grad = self.mask[:networks], self.grad[:networks]
+        lead.layers, lead.grads = ([a[:networks] for a in part]
+                                   for part in (self.layers, self.grads))
+        return lead
+
 
 class AdamState:
     """Moment accumulators shaped as the parameters, with bias correction."""
@@ -123,6 +137,13 @@ class AdamState:
     def __init__(self, flat: np.ndarray):
         self.m, self.v, self.num, self.den = (np.zeros_like(flat) for _ in range(4))
         self.t = 0
+
+    def lead(self, networks: int) -> AdamState:
+        """The state of this one's first ``networks`` rows, sharing its buffers."""
+        lead = copy(self)
+        lead.m, lead.v, lead.num, lead.den = (a[:networks]
+                                              for a in (self.m, self.v, self.num, self.den))
+        return lead
 
     def step(self, flat: np.ndarray, grad: np.ndarray, config: MlpConfig) -> None:
         """Update ``flat`` in place by one Adam step on ``grad``, allocating no

@@ -192,9 +192,8 @@ def fit_all_stages(spec: EstimandSpec, data: Dataset, basis_policy: str = "defau
 OUTCOME_FAMILIES = ("logistic", "least_squares")
 
 
-def fit_folds(spec: EstimandSpec, designs: FoldDesigns, basis_policy: str = "default",
-              degree: int = 2, ridge: float | None = None,
-              outcome_family: str | None = None):
+def fit_folds(spec: EstimandSpec, designs: FoldDesigns, basis_policy: str, degree: int,
+              ridge: float | None, outcome_family: str | None):
     """Fit Q_K down to Q_1 once per fold of ``designs``; Q_K is logistic for
     a binary outcome unless ``outcome_family`` says otherwise, its fold fits
     stepping from one pooled fit (``fit_logistic_folds``), and every

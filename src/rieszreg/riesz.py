@@ -173,10 +173,13 @@ def fit_mlp(fmap: FunctionalMap, data, config: MlpConfig, weights=None, *,
             columns) -> MlpRieszFit:
     """Minimize the same empirical loss by Adam on backpropagated gradients
     (``fit_mlps`` of one problem, raising its error). ``columns`` names the
-    network's inputs, in order. Training is deterministic given config.seed; the
-    returned fit carries the full loss curve, the loss at the start of each
-    epoch and then the final loss, with the final entry never above the
-    initial one for epochs > 0 monitored by the divergence guard.
+    network's inputs, in order. Training is deterministic given config.seed. It
+    stops at ``config.epochs`` or, earlier, once the loss has converged: after
+    mlp.STOP_PATIENCE epochs in a row whose entry loss did not fall below the
+    best by mlp.STOP_TOL * |best|. A network that stops at epoch e is the one
+    trained with epochs=e. The fit carries the loss curve, the loss at the
+    start of each epoch trained and then the fitted loss (e + 1 entries),
+    which the divergence guard requires to be finite.
     """
     (fit,) = fit_mlps([(fmap, data, weights, columns)], config)
     if isinstance(fit, Exception):
@@ -189,9 +192,10 @@ def fit_mlps(problems, config: MlpConfig) -> list:
     trains it; each result is the fit or the problem's error. Full-batch, the
     networks of equal (inputs, padded rows) train in one Adam loop. Shape
     rule: a network's padded problem depends only on its own data, so it
-    trains to the same bits in any batch, alone included (BLAS sums a product
-    padded to another length in another order). Minibatches: with
-    ``config.batch_size`` set, each network trains alone on its stacked rows."""
+    trains, and stops, to the same bits in any batch, alone included (BLAS
+    sums a product padded to another length in another order). Minibatches:
+    with ``config.batch_size`` set, each network trains alone on its stacked
+    rows."""
     results, batches = [], {}
     for args in problems:
         try:
@@ -204,9 +208,10 @@ def fit_mlps(problems, config: MlpConfig) -> list:
     problem = None  # the batches hold the problems; each batch's are freed once stacked
     for shape in list(batches):
         batch = [i for i, _ in batches[shape]]
-        init, flat, curves = _train([problem for _, problem in batches.pop(shape)], config)
+        init, flat, curves, stops = _train([problem for _, problem in batches.pop(shape)], config)
         for j, i in enumerate(batch):
-            curve, bad = curves[:, j].copy(), np.flatnonzero(~np.isfinite(curves[:, j]))
+            curve = curves[:stops[j] + 1, j].copy()
+            bad = np.flatnonzero(~np.isfinite(curve))
             results[i] = TrainingDivergedError(
                 f"training loss became non-finite at epoch {bad[0]} of {config.epochs} "
                 f"(loss={float(curve[bad[0]])!r})") if bad.size else MlpRieszFit(
@@ -242,29 +247,49 @@ def _mlp_problem(fmap: FunctionalMap, data, weights, columns,
     lin = np.concatenate([np.zeros(n)] + [-2.0 * coef * weights for coef, _ in terms])
     if not distinct:
         return _MlpProblem(columns, inputs, q, lin, n)
-    values, inverse = np.unique(inputs, axis=1, return_inverse=True)
-    stacked = np.vstack([values] + [np.bincount(inverse.ravel(), part) for part in (q, lin)])
+    values, inverse = _distinct_columns(inputs)
+    stacked = np.vstack([values] + [np.bincount(inverse, part) for part in (q, lin)])
     order = np.argsort(stacked[-2] == 0, kind="stable")  # observed inputs first
     padded = np.zeros((len(stacked), -(-len(order) // 64) * 64))
     padded[:, :len(order)] = stacked[:, order]
     return _MlpProblem(columns, padded[:-2], padded[-2], padded[-1], n)
 
 
+def _distinct_columns(inputs: np.ndarray):
+    """(values, inverse) as ``np.unique(inputs, axis=1, return_inverse=True)``
+    gives them: the distinct columns in lexicographic order, the first row
+    leading, and each column's index among them; by one lexsort."""
+    order = np.lexsort(inputs[::-1])
+    ordered = inputs[:, order]
+    first = np.ones(len(order), dtype=bool)  # a column that differs from the one before
+    np.any(ordered[:, 1:] != ordered[:, :-1], axis=0, out=first[1:])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[:, first], inverse
+
+
 def _train(problems, config: MlpConfig):
     """Train one network per problem of one shape, from one seeded start, as
     the rows of a (J, P) parameter array; returns (template, parameters,
-    curves), curves[e] each network's loss at the start of epoch e."""
+    curves, stops), curves[e, j] network j's loss at the start of epoch e for
+    e up to stops[j]. A network stops at the ``config.epochs`` cap or, taking
+    no step there, at the epoch its loss converges (``_converged``). The
+    networks still training lead every per-network array, and each epoch runs
+    only them: a stopped network leaves their leading views."""
     rng = substream(config.seed)
     init = mlp_net.init_params(len(problems[0].columns), config, rng)
-    flat = np.tile(mlp_net.flatten(init), (len(problems), 1))
-    blocks, state = mlp_net.views(flat, init), mlp_net.AdamState(flat)
+    params = np.tile(mlp_net.flatten(init), (len(problems), 1))
+    flat, state, blocks = params, mlp_net.AdamState(params), mlp_net.views(params, init)
     x = np.stack([p.inputs for p in problems])
     q, lin = (np.stack([getattr(p, part) / p.n for p in problems]) for part in ("q", "lin"))
-    curves, dropped, buffers = np.empty((config.epochs + 1, len(problems))), np.empty(1), {}
+    curves, dropped, buffers = np.empty((config.epochs + 1, len(params))), np.empty(1), {}
+    # the network in each row; each network's stop epoch
+    networks, stops = np.arange(len(params)), np.full(len(params), config.epochs)
+    best, last = np.full(len(params), np.inf), np.full(len(params), -1)  # see _converged
     problem = problems[0] if config.batch_size else None  # a minibatch's stacked rows
     del problems  # the only reference: full-batch problems are freed once stacked
 
-    def step(x, q, lin, loss, train=True):  # twice the losses, then a step if train
+    def step(x, q, lin, loss, train=True):  # twice the losses, then the gradient if train
         if x.shape[-1] not in buffers:  # made once per row count
             buffers[x.shape[-1]] = (mlp_net.Workspace(init, x.shape[-1], len(x)),
                                     (np.empty(q.shape), np.empty(len(q))))
@@ -272,24 +297,54 @@ def _train(problems, config: MlpConfig):
         if not train:
             return _mlp_gradient(work.forward(blocks, x)[0], q, lin, loss, spare)
         out, activations = mlp_net.forward_cached(blocks, x.T, work)
-        grad = mlp_net.backward(blocks, activations, _mlp_gradient(out, q, lin, loss, spare), work)
-        state.step(flat, grad, config)
+        return mlp_net.backward(blocks, activations, _mlp_gradient(out, q, lin, loss, spare), work)
 
     # overflow here is the divergence signal, read off the curves afterwards
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
+            # the gradient pass yields the entry loss; a minibatch epoch's is a pass of its own
+            grad = step(x, q, lin, curves[epoch, :len(flat)], train=config.batch_size is None)
+            stopped = _converged(curves[epoch, :len(flat)], best, last, epoch)
+            if stopped.any():  # move the stopped networks behind the running ones
+                moved, running = np.argsort(stopped, kind="stable"), len(flat) - stopped.sum()
+                for part in (flat, state.m, state.v, grad, x, q, lin, best, last,
+                             networks[:len(flat)]):
+                    part[:] = part[moved]
+                curves[:epoch + 1, :len(flat)] = curves[:epoch + 1, moved]
+                stops[networks[running:len(flat)]] = epoch
+                flat, grad, x, q, lin, best, last = (
+                    part[:running] for part in (flat, grad, x, q, lin, best, last))
+                state, blocks = state.lead(running), mlp_net.views(flat, init)
+                buffers = {size: (work.lead(running), tuple(a[:running] for a in spare))
+                           for size, (work, spare) in buffers.items()}
+            if not len(flat):
+                break
             if config.batch_size is None:
-                step(x, q, lin, curves[epoch])  # the gradient pass yields the entry loss
+                state.step(flat, grad, config)
                 continue
-            step(x, q, lin, curves[epoch], train=False)
             order = rng.permutation(problem.n)
             for start in range(0, problem.n, config.batch_size):
                 rows = order[start:start + config.batch_size]
                 index = (rows + np.arange(0, x.shape[-1], problem.n)[:, None]).ravel()
-                step(x[:, :, index], problem.q[None, index] / len(rows),
-                     problem.lin[None, index] / len(rows), dropped)
-        step(x, q, lin, curves[-1], train=False)
-    return init, flat, curves / 2
+                state.step(flat, step(x[:, :, index], problem.q[None, index] / len(rows),
+                                      problem.lin[None, index] / len(rows), dropped), config)
+        if len(flat):
+            step(x, q, lin, curves[-1, :len(flat)], train=False)
+    back = np.argsort(networks)
+    return init, params[back], curves[:, back] / 2, stops
+
+
+def _converged(loss, best, last, epoch: int) -> np.ndarray:
+    """The stop rule at ``epoch`` on its entry losses ``loss``, updating
+    ``best`` and ``last`` in place: a finite loss at most best - STOP_TOL *
+    |best| improves (any does on the initial inf, whose bound is nan), and
+    ``last`` is the epoch of the last improvement; then best is the least
+    finite loss. True where STOP_PATIENCE epochs in a row have not improved."""
+    finite = np.isfinite(loss)
+    improved = finite & ~(loss > best - mlp_net.STOP_TOL * np.abs(best))
+    np.copyto(last, epoch, where=improved)
+    np.minimum(best, loss, out=best, where=finite)
+    return last <= epoch - mlp_net.STOP_PATIENCE
 
 
 def _mlp_gradient(out, q, lin, loss, spare):

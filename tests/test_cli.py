@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -567,6 +568,8 @@ def test_flag_defaults_are_the_settings_defaults(command):
     assert _settings_from(parse(argv)) == rieszreg.EstimatorSettings()
     assert _settings_from(parse([*argv, "--method", "mlp"])) == rieszreg.EstimatorSettings(
         riesz_method="mlp", mlp=rieszreg.MlpConfig(seed=7))
+    folds = inspect.signature(rieszreg.one_step_estimate).parameters["folds"].default
+    assert parse(argv).folds == folds == 5
 
 
 def test_tiny_estimate_inputs_are_valid(tmp_path):

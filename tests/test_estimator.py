@@ -612,6 +612,8 @@ class TestArmSharing:
                              {"outcome_family": "logistic"}, {"degree": 3},
                              {"basis_policy": "intercept"}]
         for kwargs in nuisance_settings:
+            kwargs = {"basis_policy": "default", "degree": 2, "ridge": None,
+                      "outcome_family": None} | kwargs
             got, _ = fit_folds(spec, shared, **kwargs)
             want, _ = fit_folds(spec, FoldDesigns(appendix_data, order, bounds), **kwargs)
             for a, b in zip(sum(got, []), sum(want, [])):

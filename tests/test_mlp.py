@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +21,12 @@ from rieszreg import (
     simulate,
     substream,
 )
+from rieszreg import fit_sequential, riesz
 from rieszreg import mlp as net
-from rieszreg import riesz
+from rieszreg.basis import FoldDesigns
+from rieszreg.bench import replicate_seed
 from rieszreg.estimands import term_columns
+from rieszreg.estimator import _fold_order
 
 
 class TestNetwork:
@@ -222,6 +227,69 @@ class TestBatching:
             _close(b, b_one, rtol=1e-12)
 
 
+class TestStopping:
+    """A network stops once its loss has converged, and is then the network
+    trained for as many epochs as it ran."""
+
+    def test_a_stopped_network_equals_one_trained_to_its_stop_epoch(self, appendix_dgp):
+        nde = builtin_spec("nde").instantiate(1.0).stage(3)
+        data = simulate(appendix_dgp, 1000, 4)
+        weights = substream(4, 2).uniform(0.5, 1.5, size=data.n)
+        fit = fit_mlp(nde.fmap, data, MlpConfig(), weights=weights, columns=nde.given)
+        stop = len(fit.loss_curve) - 1
+        assert net.STOP_PATIENCE <= stop < 400 and fit.fitted_loss == fit.loss_curve[-1]
+        again = fit_mlp(nde.fmap, data, MlpConfig(epochs=stop), weights=weights,
+                        columns=nde.given)
+        assert _same_fit(fit, again)
+
+    @pytest.mark.parametrize("layers, width", [(3, 1), (2, 4)])
+    def test_networks_stopping_at_other_epochs_each_equal_it_alone(self, appendix_dgp,
+                                                                    layers, width):
+        """One batch on one input set with other weights: the width-1 networks
+        go flat within about 60 epochs, the width-4 ones stop at other epochs
+        or run to the cap. Each equals itself trained alone, and trained for
+        its stop epoch."""
+        nde = builtin_spec("nde").instantiate(1.0).stage(3)
+        data = simulate(appendix_dgp, 300, 6)
+        problems = [(nde.fmap, data, substream(6, k).uniform(0.5, 1.5, size=data.n), nde.given)
+                    for k in range(4)]
+        config = MlpConfig(hidden_layers=layers, width=width, epochs=300)
+        batched = fit_mlps(problems, config)
+        stops = [len(fit.loss_curve) - 1 for fit in batched]
+        assert len(set(stops)) >= 3
+        for problem, fit, stop in zip(problems, batched, stops):
+            assert _same_fit(fit, fit_mlps([problem], config)[0])
+            assert _same_fit(fit, fit_mlps([problem], replace(config, epochs=stop))[0])
+
+    def test_the_default_nde_networks_of_a_benchmark_fold_stop_early(self, appendix_dgp):
+        """Fold 0 of the first input of the network benchmark workload: its
+        stage-2 and stage-3 networks stop before the 500-epoch cap."""
+        seed = replicate_seed(1, 0)
+        data = simulate(appendix_dgp, 1000, seed)
+        spec = builtin_spec("nde").instantiate(1.0)
+        designs = FoldDesigns(data, *_fold_order(spec, data, 5, seed, 50))
+        fits = fit_sequential(spec, designs.fold(0), method="mlp")
+        assert [len(fit.loss_curve) - 1 < 500 for fit in fits[1:]] == [True, True]
+
+
+class TestDistinctColumns:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(rows=st.lists(st.one_of(st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=4),
+                                   st.lists(st.floats(-2.0, 2.0).map(lambda v: v + 0.0),
+                                            min_size=1, max_size=4)),
+                         min_size=1, max_size=4),
+           repeats=st.integers(1, 3), data=st.data())
+    def test_values_and_inverse_equal_numpy_unique(self, rows, repeats, data):
+        """On matrices of binary and real rows (the sum drops -0.0, which
+        ``np.unique`` keeps or drops by its unstable sort), columns repeated."""
+        width = min(len(row) for row in rows)
+        matrix = np.tile(np.array([row[:width] for row in rows]), repeats)
+        matrix = matrix[:, data.draw(st.permutations(range(matrix.shape[1])))]
+        values, inverse = riesz._distinct_columns(matrix)
+        want, want_inverse = np.unique(matrix, axis=1, return_inverse=True)
+        assert np.array_equal(values, want) and np.array_equal(inverse, want_inverse.ravel())
+
+
 # ---------------------------------------------------------------------------
 # Reference: the row-major training step that the fused feature-major step
 # replaced, kept as the parity reference.
@@ -262,6 +330,20 @@ def _reference_adam_step(params, grads, state, config):
             pi - lr_t * m / (np.sqrt(v) + 1e-8)
             for pi, m, v in zip(p, state["m"][i], state["v"][i])))
     return new_params
+
+
+def _reference_stop(curve, tol=1e-5, patience=20):
+    """The epoch at which the stop rule fires on a loss curve, or None: an
+    epoch improves when its loss is finite and at most best - tol * |best|,
+    the first finite one always."""
+    best, stalls = math.inf, 0
+    for epoch, loss in enumerate(curve):
+        improved = math.isfinite(loss) and (best == math.inf or loss <= best - tol * abs(best))
+        stalls = 0 if improved else stalls + 1
+        best = min(best, loss) if math.isfinite(loss) else best
+        if stalls >= patience:
+            return epoch
+    return None
 
 
 def _reference_fit(fmap, data, config, weights, columns):
@@ -347,15 +429,23 @@ class TestKernelParity:
             learning_rate=0.03, seed=width))
 
     def test_default_config_matches_reference_over_500_epochs(self, problems):
-        """The benchmark's network and epoch count, where rounding differences
+        """The benchmark's network and epoch cap, where rounding differences
         between the two kernels have the longest to grow."""
         _check_parity(problems["nde_stage3"], MlpConfig())
 
 
 def _check_parity(problem, config):
+    """The reference trains as many epochs as the fit ran; the stop rule,
+    applied to its own curve, fires at that epoch and not before, or never
+    when the fit ran to the cap."""
     fmap, data, columns, weights = problem
     fit = fit_mlp(fmap, data, config, weights=weights, columns=columns)
-    params, curve = _reference_fit(fmap, data, config, weights, columns)
+    epochs = len(fit.loss_curve) - 1
+    params, curve = _reference_fit(fmap, data, replace(config, epochs=epochs), weights, columns)
+    if epochs < config.epochs:
+        assert _reference_stop(curve) == epochs
+    else:
+        assert _reference_stop(curve[:-1]) is None
     _close(fit.loss_curve, curve)
     for (w, b), (w_ref, b_ref) in zip(fit.params, params):
         _close(w, w_ref)

@@ -105,7 +105,8 @@ class TestLogistic:
             return fit_logistic(*args, **kwargs)
 
         monkeypatch.setattr(nuisance, "fit_logistic", counted)
-        fits, _ = fit_folds(builtin_spec("nde").instantiate(1.0), designs)
+        fits, _ = fit_folds(builtin_spec("nde").instantiate(1.0), designs, "default", 2, None,
+                            None)
         assert len(calls) == 1 and fits[2][0].basis == basis
         for v, fit in enumerate(fits[2]):
             assert fit.family == "logistic" and fit.newton_iterations > 0
